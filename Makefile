@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-alloc bench-flows bench-burst bench-pdes bench-hybrid figures fast check clean
+.PHONY: all build test bench bench-alloc bench-flows bench-burst bench-pdes bench-hybrid perfbench figures fast check clean
 
 all: build
 
@@ -65,6 +65,15 @@ bench-pdes:
 bench-hybrid:
 	dune exec bench/main.exe -- --only hybrid --fast
 	dune exec bin/main.exe -- report-check --kind=hybrid BENCH_hybrid.json
+
+# The scenario-matrix benchmark (perfbench/README.md): end-to-end
+# metrics of every workload declared in BENCHMARK.json, one workload
+# after another. Never run these concurrently: each builds with dune
+# first, and parallel runs hang on dune's build lock.
+perfbench:
+	python3 perfbench/run.py --workload paper-n50
+	python3 perfbench/run.py --workload meanfield-1e4
+	python3 perfbench/run.py --workload hybrid-1e6
 
 # Just the paper's figures, at paper scale.
 figures:

@@ -35,14 +35,7 @@ let run ?(adv_window = 600) cfg ~cc ~hops ~cross_per_hop ~duration_s =
   if cross_per_hop < 0 then invalid_arg "Parking_lot.run: negative cross_per_hop";
   let cfg = { cfg with Config.adv_window } in
   let sched = Scheduler.create () in
-  let pool =
-    Netsim.Packet_pool.create
-      ~capacity:
-        (64
-        + ((1 + (hops * cross_per_hop)) * ((2 * adv_window) + 4))
-        + ((hops + 1) * cfg.Config.buffer_packets))
-      ()
-  in
+  let pool = Netsim.Packet_pool.create () in
   let bottleneck_bw = Units.mbps cfg.Config.bottleneck_bandwidth_mbps in
   let access_bw = Units.mbps cfg.Config.client_bandwidth_mbps in
   let hop_delay = Time.of_sec cfg.Config.bottleneck_delay_s in

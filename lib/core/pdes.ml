@@ -336,13 +336,7 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
             ~queue_capacity:(64 + (n * ((2 * cfg.Config.adv_window) + 8)))
             ()
         in
-        let hpool =
-          Packet_pool.create
-            ~capacity:
-              (64 + cfg.Config.buffer_packets
-              + (n * (cfg.Config.adv_window + 2)))
-            ()
-        in
+        let hpool = Packet_pool.create () in
         let hbus = if tracing then Some (EB.create ()) else None in
         let hevents = ref [] in
         (match hbus with
@@ -396,11 +390,7 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
                     (64 + (n_local * ((4 * cfg.Config.adv_window) + 8)))
                   ()
               in
-              let pool =
-                Packet_pool.create
-                  ~capacity:(64 + (n_local * ((2 * cfg.Config.adv_window) + 4)))
-                  ()
-              in
+              let pool = Packet_pool.create () in
               Packet_pool.set_uid_source pool (Some uid_source);
               let bus = if tracing then Some (EB.create ()) else None in
               let events = ref [] in

@@ -42,14 +42,7 @@ let run cfg ~cc ~reverse_clients =
   let n = cfg.Config.clients in
   let sched = Scheduler.create () in
   let rng = Rng.create ~seed:cfg.Config.seed in
-  let pool =
-    Netsim.Packet_pool.create
-      ~capacity:
-        (64
-        + ((n + reverse_clients) * ((2 * cfg.Config.adv_window) + 4))
-        + (2 * cfg.Config.buffer_packets))
-      ()
-  in
+  let pool = Netsim.Packet_pool.create () in
   let gw = Router.create ~name:"gw" ~pool () in
   let svr = Router.create ~name:"svr" ~pool () in
   let bw_bottleneck = Units.mbps cfg.Config.bottleneck_bandwidth_mbps in

@@ -148,14 +148,12 @@ let slot_of t h =
 (* ------------------------------------------------------------------ *)
 (* Allocation and release *)
 
+(* Validated before a slot is claimed, so a rejected allocation leaves
+   no trace in [live], the high-water mark or the free stack. *)
+let check_size size_bytes =
+  if size_bytes <= 0 then invalid_arg "Packet_pool: non-positive size"
+
 let fill t slot ~flow ~src ~dst ~size_bytes ~sent_at ~word ~flags =
-  if size_bytes <= 0 then begin
-    (* Undo the slot claim so a rejected alloc does not leak. *)
-    t.live <- t.live - 1;
-    t.free.(t.free_top) <- slot;
-    t.free_top <- t.free_top + 1;
-    invalid_arg "Packet_pool: non-positive size"
-  end;
   (match t.uid_source with
   | None ->
       t.uid.(slot) <- t.next_uid;
@@ -172,6 +170,7 @@ let fill t slot ~flow ~src ~dst ~size_bytes ~sent_at ~word ~flags =
 
 let alloc_data t ?(ecn_capable = false) ~flow ~src ~dst ~size_bytes ~sent_at ~seq
     ~is_retransmit () =
+  check_size size_bytes;
   let slot = alloc_slot t in
   let flags =
     kind_data
@@ -182,6 +181,7 @@ let alloc_data t ?(ecn_capable = false) ~flow ~src ~dst ~size_bytes ~sent_at ~se
 
 let alloc_ack t ?(ecn_capable = false) ~flow ~src ~dst ~size_bytes ~sent_at ~ack
     ~ece ~sack () =
+  check_size size_bytes;
   let slot = alloc_slot t in
   let flags =
     kind_ack
@@ -193,6 +193,7 @@ let alloc_ack t ?(ecn_capable = false) ~flow ~src ~dst ~size_bytes ~sent_at ~ack
   h
 
 let alloc_udp t ~flow ~src ~dst ~size_bytes ~sent_at ~seq () =
+  check_size size_bytes;
   let slot = alloc_slot t in
   fill t slot ~flow ~src ~dst ~size_bytes ~sent_at ~word:seq ~flags:kind_udp
 
@@ -202,13 +203,8 @@ let alloc_udp t ~flow ~src ~dst ~size_bytes ~sent_at ~seq () =
    a single pool for its whole life. *)
 let import t ~uid ~flow ~src ~dst ~size_bytes ~sent_at ~word ~flags ~sack =
   if flags land 3 = 0 then invalid_arg "Packet_pool.import: free-slot flags";
+  check_size size_bytes;
   let slot = alloc_slot t in
-  if size_bytes <= 0 then begin
-    t.live <- t.live - 1;
-    t.free.(t.free_top) <- slot;
-    t.free_top <- t.free_top + 1;
-    invalid_arg "Packet_pool: non-positive size"
-  end;
   t.uid.(slot) <- uid;
   t.flow.(slot) <- flow;
   t.src.(slot) <- src;

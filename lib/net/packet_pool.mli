@@ -33,7 +33,10 @@ val nil : handle
 val is_nil : handle -> bool
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] (default 256) pre-sizes the slab; it grows by doubling. *)
+(** The slab starts at [capacity] slots (default 256) and doubles on
+    demand, so its footprint follows the pool's high-water mark rather
+    than any worst-case bound. Builders leave [capacity] at its default;
+    it exists so tests can exercise the doubling with a few packets. *)
 
 (** {2 Allocation and release} *)
 

@@ -175,6 +175,42 @@ let dumbbell_delivery_latency () =
     (Sim_engine.Time.to_sec (Sim_engine.Scheduler.now sched));
   Alcotest.(check int) "delivered" 1 (Dumbbell.delivered_total net)
 
+(* A mean-field-sized gateway buffer (10^7 packets) must not size the
+   packet pool: the pool follows its own high-water mark, so setting up
+   a handful of clients stays far below 1 Mi words of major heap. *)
+let huge_buffer_cfg ?(shards = 0) () =
+  {
+    (tiny ~clients:4 ~duration:2. ~warmup:1. ()) with
+    Config.buffer_packets = 10_000_000;
+    red_min_th = 5.;
+    red_max_th = 15.;
+    shards;
+  }
+
+let heap_budget_words = 1 lsl 20
+
+let dumbbell_setup_ignores_buffer_size () =
+  let before = (Gc.quick_stat ()).Gc.heap_words in
+  let net = Dumbbell.create (huge_buffer_cfg ()) Scenario.reno_red in
+  let grown = (Gc.quick_stat ()).Gc.heap_words - before in
+  ignore (Sys.opaque_identity net);
+  Alcotest.(check bool)
+    (Printf.sprintf "major heap grew %d words" grown)
+    true
+    (grown < heap_budget_words)
+
+let pdes_setup_ignores_buffer_size () =
+  (* The sharded engine's pools die with the run, so its peak is read
+     from [top_heap_words]. *)
+  let before = (Gc.quick_stat ()).Gc.top_heap_words in
+  let m = Run.run (huge_buffer_cfg ~shards:2 ()) Scenario.reno_red in
+  let grown = (Gc.quick_stat ()).Gc.top_heap_words - before in
+  Alcotest.(check bool) "delivers" true (m.Metrics.delivered > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "peak major heap grew %d words" grown)
+    true
+    (grown < heap_budget_words)
+
 (* ------------------------------------------------------------------ *)
 (* Run + Metrics *)
 
@@ -670,6 +706,20 @@ let twoway_ack_compression_hurts_reno () =
   Alcotest.(check bool) "reverse flows deliver" true
     (busy.Twoway.reverse_delivered > 10_000)
 
+let twoway_pinned () =
+  (* Exact values from one seed, so that a change meant to keep this
+     builder's behaviour is checked rather than assumed. *)
+  let cfg = tiny ~clients:20 ~duration:60. ~warmup:10. () in
+  let r = Twoway.run cfg ~cc:Scenario.Reno ~reverse_clients:10 in
+  Alcotest.(check int) "forward delivered" 10606 r.Twoway.forward_delivered;
+  Alcotest.(check int) "reverse delivered" 5973 r.Twoway.reverse_delivered;
+  Alcotest.(check (float 0.)) "forward loss pct" 0x1.c7de155d70098p-2
+    r.Twoway.forward_loss_pct;
+  Alcotest.(check (float 0.)) "forward cov" 0x1.6579f3ce8100ap-2
+    r.Twoway.forward_cov;
+  Alcotest.(check (float 0.)) "analytic cov" 0x1.21a1851ff630ap-4
+    r.Twoway.analytic_cov
+
 let twoway_validates () =
   Alcotest.check_raises "negative" (Invalid_argument "Twoway.run: negative reverse_clients")
     (fun () ->
@@ -712,6 +762,19 @@ let parking_capacity_respected () =
     (r.Parking_lot.long_throughput_pps
      +. (2. *. r.Parking_lot.cross_throughput_pps)
     < 1.05 *. cap)
+
+let parking_pinned () =
+  let r =
+    Parking_lot.run Config.default ~cc:Scenario.Reno ~hops:2 ~cross_per_hop:2
+      ~duration_s:60.
+  in
+  Alcotest.(check (float 0.)) "long throughput" 0x1.f444444444444p+4
+    r.Parking_lot.long_throughput_pps;
+  Alcotest.(check (float 0.)) "cross throughput" 0x1.ef2aaaaaaaaabp+6
+    r.Parking_lot.cross_throughput_pps;
+  Alcotest.(check (float 0.)) "long share" 0x1.cd0bb6ed6777p-3
+    r.Parking_lot.long_share;
+  Alcotest.(check (float 0.)) "jain" 0x1.bb70d9030b996p-1 r.Parking_lot.jain_all
 
 let parking_validates () =
   Alcotest.check_raises "hops" (Invalid_argument "Parking_lot.run: hops < 1")
@@ -1104,6 +1167,10 @@ let suite =
         Alcotest.test_case "tcp roundtrip" `Quick dumbbell_tcp_roundtrip;
         Alcotest.test_case "udp roundtrip" `Quick dumbbell_udp_roundtrip;
         Alcotest.test_case "delivery latency" `Quick dumbbell_delivery_latency;
+        Alcotest.test_case "setup ignores buffer size" `Quick
+          dumbbell_setup_ignores_buffer_size;
+        Alcotest.test_case "sharded setup ignores buffer size" `Quick
+          pdes_setup_ignores_buffer_size;
       ] );
     ( "core.run",
       [
@@ -1174,6 +1241,7 @@ let suite =
         Alcotest.test_case "one-way baseline" `Quick twoway_oneway_baseline;
         Alcotest.test_case "ack compression hurts reno" `Slow
           twoway_ack_compression_hurts_reno;
+        Alcotest.test_case "pinned seed" `Quick twoway_pinned;
         Alcotest.test_case "validation" `Quick twoway_validates;
       ] );
     ( "core.parking_lot",
@@ -1181,6 +1249,7 @@ let suite =
         Alcotest.test_case "lone flow fills the pipe" `Slow parking_lone_flow_fills_pipe;
         Alcotest.test_case "long flow disadvantaged" `Slow parking_long_flow_disadvantaged;
         Alcotest.test_case "capacity respected" `Slow parking_capacity_respected;
+        Alcotest.test_case "pinned seed" `Quick parking_pinned;
         Alcotest.test_case "validation" `Quick parking_validates;
       ] );
     ( "core.sweep",

@@ -104,6 +104,33 @@ let pool_accounting () =
   Alcotest.(check int) "peak survives" 5 (Pool.high_water_mark pool);
   Alcotest.(check int) "allocated keeps counting" 6 (Pool.allocated pool)
 
+let pool_rejected_alloc_leaves_no_trace () =
+  (* A non-positive size is rejected before a slot is claimed: on an
+     empty pool neither [live] nor the high-water mark may move, and no
+     uid is spent. *)
+  let pool = Pool.create () in
+  let rejects label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: zero-size packet accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "data" (fun () -> mk_packet ~size:0 pool);
+  rejects "ack" (fun () ->
+      Pool.alloc_ack pool ~flow:0 ~src:0 ~dst:1 ~size_bytes:0 ~sent_at:Time.zero
+        ~ack:1 ~ece:false ~sack:[] ());
+  rejects "udp" (fun () ->
+      Pool.alloc_udp pool ~flow:0 ~src:1 ~dst:0 ~size_bytes:(-1)
+        ~sent_at:Time.zero ~seq:0 ());
+  rejects "import" (fun () ->
+      Pool.import pool ~uid:7 ~flow:0 ~src:1 ~dst:0 ~size_bytes:0
+        ~sent_at:Time.zero ~word:0 ~flags:1 (* TCP data *) ~sack:[]);
+  Alcotest.(check int) "live" 0 (Pool.live pool);
+  Alcotest.(check int) "high water" 0 (Pool.high_water_mark pool);
+  Alcotest.(check int) "allocated" 0 (Pool.allocated pool);
+  let h = mk_packet pool in
+  Alcotest.(check int) "first real packet" 1 (Pool.high_water_mark pool);
+  Pool.free pool h
+
 let pool_sack_side_table () =
   let pool = Pool.create () in
   let blocks = [ (4, 6); (9, 12) ] in
@@ -954,6 +981,8 @@ let suite =
           pool_recycled_slot_does_not_alias;
         Alcotest.test_case "live accounting" `Quick pool_accounting;
         Alcotest.test_case "sack side table" `Quick pool_sack_side_table;
+        Alcotest.test_case "rejected alloc leaves no trace" `Quick
+          pool_rejected_alloc_leaves_no_trace;
       ] );
     ( "net.flow_table",
       [
