@@ -84,24 +84,12 @@ fast:
 	dune exec bench/main.exe -- --fast --skip-micro
 
 # CI gate: build, unit + cram tests (including the parallel determinism
-# suite, re-run explicitly so a filtered runtest cannot skip it), then a
-# telemetry smoke run whose report must validate, plus the events/sec
-# overhead baseline, the sequential-vs-parallel sweep timing, and the
-# allocation budget (fails when any scenario's minor words/event
-# regresses past its committed threshold — 6.0 for the Reno N=50 row —
-# and re-validated from the written BENCH_alloc.json by report-check),
-# and the flow-scaling sweep up to N = 10^5 (bytes/flow, slab growth,
-# leak and fluid-ratio gates, re-validated from BENCH_flows.json), and
-# the burstiness-observability gates (burst words/event delta, streaming
-# c.o.v. equivalence, RED oscillation-detector sweep, re-validated from
-# BENCH_burst.json). The parallel sweep runs as `--only pdes`, which
-# also exercises the sharded-PDES single-run section (1-vs-4-shard
-# bit-identity plus shard-count timing rows) and is re-validated from
-# BENCH_parallel.json by report-check --kind=parallel. The hybrid
-# fluid/packet gates (hybrid-vs-packet validation bands, the converged
-# N = 10^6 row, the mean-field RED stability sweep) run as `--only
-# hybrid` and are re-validated from BENCH_hybrid.json by report-check
-# --kind=hybrid.
+# suite, re-run explicitly so a filtered runtest cannot skip it, and a
+# report-check of every committed BENCH_*.json), then a telemetry smoke
+# run whose report must validate, and each --fast bench section. Every
+# bench section holds the BENCH_*.json it writes to its committed gates
+# and report-check re-checks the file; the gates are listed once, in the
+# table behind Telemetry.Report.check (lib/telemetry/report.ml).
 check:
 	dune build @all
 	dune runtest

@@ -25,6 +25,22 @@ let section name = Format.fprintf std "@.==== %s ====@.@." name
 
 let wants name = match !only with None -> true | Some s -> s = name
 
+(* Write a BENCH_*.json report, then hold it to its committed gates:
+   [Telemetry.Report.check], the same gate table `report-check` applies.
+   [failed] carries a gate only the bench can apply (a wall-clock floor,
+   a leak in a run the file does not record). Either failure exits 1,
+   after the file is written so the evidence survives. *)
+let write_report ?(failed = false) kind file json =
+  Burstcore.Export.write_file file (Burstcore.Json.to_string json ^ "\n");
+  Format.fprintf std "@.wrote %s@." file;
+  (match Telemetry.Report.check kind json with
+  | Ok () -> ()
+  | Error msg ->
+      Format.eprintf "%s: invalid %s report: %s@." file
+        (Telemetry.Report.name kind) msg;
+      exit 1);
+  if failed then exit 1
+
 (* ------------------------------------------------------------------ *)
 (* Paper tables and figures                                            *)
 
@@ -123,8 +139,8 @@ let run_sync () =
      bounded last-N window sized to stay cache-resident, unlike the
      Grow configuration --record-out uses for complete captures.
 
-   Committed gates, also re-checked from the JSON by `report-check
-   --kind=bench-telemetry` in `make check`:
+   Committed gates, applied to the JSON by [write_report] (and again by
+   `report-check --kind=bench-telemetry` in `make check`):
    - probe overhead vs baseline within [probe_budget_pct], on total wall;
    - recorder overhead vs probed within [recorder_budget_pct], on the
      probe-timed {e run phase} (the recorder's per-run setup constant
@@ -264,24 +280,6 @@ let run_telemetry_bench () =
     !recorded_words words_delta recorder_words_budget;
   Format.fprintf std "recorder records      %12d  (%d dropped by ring)@."
     !recorder_records !recorder_dropped;
-  let failed = ref false in
-  if recorder_overhead_pct > recorder_budget_pct then begin
-    Format.eprintf
-      "recorder overhead regression: %.2f%% exceeds the committed budget %.1f%%@."
-      recorder_overhead_pct recorder_budget_pct;
-    failed := true
-  end;
-  if words_delta > recorder_words_budget then begin
-    Format.eprintf
-      "recorder allocation regression: %.4f minor words/event over the probed \
-       run exceeds the committed budget %.2f@."
-      words_delta recorder_words_budget;
-    failed := true
-  end;
-  if !recorder_records = 0 then begin
-    Format.eprintf "recorder recorded nothing — instrumentation unwired?@.";
-    failed := true
-  end;
   let json =
     Burstcore.Json.Obj
       [
@@ -315,10 +313,7 @@ let run_telemetry_bench () =
         ("recorder_dropped", Burstcore.Json.Int !recorder_dropped);
       ]
   in
-  Burstcore.Export.write_file "BENCH_telemetry.json"
-    (Burstcore.Json.to_string json ^ "\n");
-  Format.fprintf std "wrote BENCH_telemetry.json@.";
-  if !failed then exit 1
+  write_report Telemetry.Report.Bench_telemetry "BENCH_telemetry.json" json
 
 (* ------------------------------------------------------------------ *)
 (* Allocation budget: events/sec and GC words per event                *)
@@ -441,13 +436,6 @@ let run_alloc_bench () =
           wpe budget.words_threshold;
         Format.fprintf std "  promoted words/event  %12.4f@." ppe;
         Format.fprintf std "  major collections     %12d@." majors;
-        if wpe > budget.words_threshold then begin
-          Format.eprintf
-            "allocation regression (%s): %.2f minor words/event exceeds the \
-             committed threshold %.2f@."
-            label wpe budget.words_threshold;
-          failed := true
-        end;
         (match budget.min_events_per_sec with
         | Some floor ->
             Format.fprintf std
@@ -503,10 +491,7 @@ let run_alloc_bench () =
         ("rows", Burstcore.Json.List rows);
       ]
   in
-  Burstcore.Export.write_file "BENCH_alloc.json"
-    (Burstcore.Json.to_string json ^ "\n");
-  Format.fprintf std "@.wrote BENCH_alloc.json@.";
-  if !failed then exit 1
+  write_report ~failed:!failed Telemetry.Report.Alloc "BENCH_alloc.json" json
 
 (* ------------------------------------------------------------------ *)
 (* Parallel sweep: sequential vs domain-fanned wall time               *)
@@ -567,10 +552,6 @@ let run_parallel_bench () =
       Format.fprintf std "speedup               %12s@." "skipped (1 domain)");
   Format.fprintf std "bit-identical results %12s@."
     (if deterministic then "yes" else "NO");
-  if not deterministic then begin
-    Format.eprintf "parallel sweep diverged from the sequential one@.";
-    exit 1
-  end;
   (match speedup with
   | Some s when s < 1.05 ->
       Format.fprintf std
@@ -580,8 +561,8 @@ let run_parallel_bench () =
   (* --- single-run sharded PDES: one N = 10^4 Reno/RED run over K
      domains. Uses the mean-field scaled regime of the flows bench
      (per-flow capacity constant) so the run is steady rather than
-     collapsed at this client count. Two sub-claims, both re-checked
-     from the file by `report-check --kind=parallel`:
+     collapsed at this client count. Two sub-claims, both gated on the
+     written file:
 
      - determinism: a 1-shard and a 4-shard run of a smaller
        configuration produce identical Metrics.t — always gated, on any
@@ -617,10 +598,6 @@ let run_parallel_bench () =
   Format.fprintf std "1-shard == 4-shard      %10s  (n=%d, %.0f s sim)@."
     (if sharded_deterministic then "yes" else "NO")
     det_cfg.C.clients det_cfg.C.duration_s;
-  if not sharded_deterministic then begin
-    Format.eprintf "sharded PDES diverged between 1 and 4 shards@.";
-    exit 1
-  end;
   let pdes_n = 10_000 in
   let pdes_duration = if !fast then 1.0 else 2.0 in
   let scale_cfg = pdes_cfg pdes_n pdes_duration in
@@ -646,13 +623,7 @@ let run_parallel_bench () =
   (match single_run_speedup with
   | Some s ->
       Format.fprintf std "single-run speedup    %12.2fx  (floor %.1fx)@." s
-        min_single_run_speedup;
-      if s < min_single_run_speedup then begin
-        Format.eprintf
-          "single-run PDES speedup %.2fx is below the committed %.1fx floor@."
-          s min_single_run_speedup;
-        exit 1
-      end
+        min_single_run_speedup
   | None ->
       Format.fprintf std "single-run speedup    %12s@."
         (Printf.sprintf "skipped (%d domain%s)" domains
@@ -703,9 +674,7 @@ let run_parallel_bench () =
         ("single_run", single_run_json);
       ]
   in
-  Burstcore.Export.write_file "BENCH_parallel.json"
-    (Burstcore.Json.to_string json ^ "\n");
-  Format.fprintf std "wrote BENCH_parallel.json@."
+  write_report Telemetry.Report.Parallel "BENCH_parallel.json" json
 
 (* ------------------------------------------------------------------ *)
 (* Flow scaling: one run pushed from 10^3 to 10^5 greedy flows         *)
@@ -797,15 +766,6 @@ let run_flows_bench () =
       ]
   in
   let failed = ref false in
-  let gate cond fmt =
-    Format.ksprintf
-      (fun msg ->
-        if not cond then begin
-          Format.eprintf "flow-scaling regression: %s@." msg;
-          failed := true
-        end)
-      fmt
-  in
   let rows =
     List.map
       (fun (n, duration_s, fluid_gated, smoke) ->
@@ -909,46 +869,18 @@ let run_flows_bench () =
           "  throughput: sim %.0f  fluid %.0f pps  (ratio %.3f)@."
           measured_throughput eq.Fluidmodel.Reno_fluid.eq_throughput_pps
           throughput_ratio;
-        gate
-          (bytes_per_flow <= flows_bytes_per_flow_budget)
-          "N=%d: %d bytes/flow exceeds the committed budget %d" n
-          bytes_per_flow flows_bytes_per_flow_budget;
-        gate leak_free "N=%d: leaked %d packet(s), %d flow row(s)" n
-          pool_live flows_live;
-        if not smoke then begin
-          gate (ft_growths = 0)
-            "N=%d: flow tables grew %d time(s) despite pre-sizing" n
-            ft_growths;
-          gate (q_growths = 0)
-            "N=%d: event queue grew %d time(s) despite pre-sizing" n q_growths;
-          gate
-            (wpe <= flows_minor_words_per_event_budget)
-            "N=%d: %.3f minor words/event exceeds the budget %.2f" n wpe
-            flows_minor_words_per_event_budget
-        end;
-        if fluid_gated then begin
-          gate
-            (throughput_ratio >= flows_throughput_ratio_min
-            && throughput_ratio <= flows_throughput_ratio_max)
-            "N=%d: throughput ratio %.3f outside [%.2f, %.2f]" n
-            throughput_ratio flows_throughput_ratio_min
-            flows_throughput_ratio_max;
-          gate
-            (queue_ratio >= flows_queue_ratio_min
-            && queue_ratio <= flows_queue_ratio_max)
-            "N=%d: queue ratio %.3f outside [%.2f, %.2f]" n queue_ratio
-            flows_queue_ratio_min flows_queue_ratio_max
-        end;
-        if n = 100_000 then
+        if n = 100_000 && eps < flows_min_events_per_sec then
           if !fast then
             Format.fprintf std
               "  (events/sec floor %.0f not enforced under --fast)@."
               flows_min_events_per_sec
-          else
-            gate
-              (eps >= flows_min_events_per_sec)
-              "N=%d: %.0f events/sec is below the committed floor %.0f" n
-              eps flows_min_events_per_sec;
+          else begin
+            Format.eprintf
+              "flow-scaling regression: N=%d: %.0f events/sec is below the \
+               committed floor %.0f@."
+              n eps flows_min_events_per_sec;
+            failed := true
+          end;
         Burstcore.Json.Obj
           [
             ("flows", Burstcore.Json.Int n);
@@ -1008,17 +940,13 @@ let run_flows_bench () =
         ("rows", Burstcore.Json.List rows);
       ]
   in
-  Burstcore.Export.write_file "BENCH_flows.json"
-    (Burstcore.Json.to_string json ^ "\n");
-  Format.fprintf std "@.wrote BENCH_flows.json@.";
-  if !failed then exit 1
+  write_report ~failed:!failed Telemetry.Report.Flows "BENCH_flows.json" json
 
 (* ------------------------------------------------------------------ *)
 (* Burstiness observability: streaming aggregator cost + correctness   *)
 
-(* Three claims, one JSON artifact (BENCH_burst.json), re-checked from
-   the file's own budgets by `report-check --kind=burst` in `make
-   check`:
+(* Three claims, one JSON artifact (BENCH_burst.json), gated from the
+   file's own budgets by [write_report] and `report-check --kind=burst`:
 
    - cost: enabling the always-on [Telemetry.Burst] aggregator on a
      probed Reno N=50 run adds at most [burst_words_budget] minor
@@ -1141,21 +1069,6 @@ let run_burst_bench () =
      tolerance %g)@."
     cov_streaming cov_offline cov_abs_err burst_cov_tolerance;
   Format.fprintf std "hurst (wavelet)       %12.3f@." hurst;
-  let failed = ref false in
-  if words_delta > burst_words_budget then begin
-    Format.eprintf
-      "burst allocation regression: %.4f minor words/event over the probed \
-       run exceeds the committed budget %.2f@."
-      words_delta burst_words_budget;
-    failed := true
-  end;
-  if not (cov_abs_err <= burst_cov_tolerance) then begin
-    Format.eprintf
-      "streaming c.o.v. disagrees with the offline estimator: |%.9f - %.9f| \
-       = %.2e exceeds %g@."
-      cov_streaming cov_offline cov_abs_err burst_cov_tolerance;
-    failed := true
-  end;
   (* --- RED w_q sweep across the linearized stability threshold --- *)
   let sweep_cfg =
     {
@@ -1224,18 +1137,6 @@ let run_burst_bench () =
   let rows =
     [ osc_row "stable" (wq_critical /. 10.); osc_row "unstable" (wq_critical *. 100.) ]
   in
-  List.iter
-    (fun (w_q, side, o) ->
-      let expected = side = "unstable" in
-      if o.Telemetry.Burst.o_oscillating <> expected then begin
-        Format.eprintf
-          "oscillation detector missed the %s side at w_q %.2e \
-           (rel %.3f, %d crossings)@."
-          side w_q o.Telemetry.Burst.o_rel_amplitude
-          o.Telemetry.Burst.o_crossings;
-        failed := true
-      end)
-    rows;
   let row_json (w_q, side, o) =
     Burstcore.Json.Obj
       [
@@ -1286,17 +1187,14 @@ let run_burst_bench () =
             ] );
       ]
   in
-  Burstcore.Export.write_file "BENCH_burst.json"
-    (Burstcore.Json.to_string json ^ "\n");
-  Format.fprintf std "@.wrote BENCH_burst.json@.";
-  if !failed then exit 1
+  write_report Telemetry.Report.Burst "BENCH_burst.json" json
 
 (* ------------------------------------------------------------------ *)
 (* Hybrid fluid/packet engine: validation, converged 10^6, stability   *)
 
-(* Three claims, one JSON artifact (BENCH_hybrid.json), re-checked from
-   the file's own tolerance bands by `report-check --kind=hybrid` in
-   `make check`:
+(* Three claims, one JSON artifact (BENCH_hybrid.json), gated from the
+   file's own tolerance bands by [write_report] and `report-check
+   --kind=hybrid`:
 
    - validity: at N in {10^3, 10^4} total flows on the mean-field
      regime (the flow-scaling bench's shape), replacing all but K = 50
@@ -1484,22 +1382,8 @@ let run_hybrid_bench () =
         Format.fprintf std "  wall                  %9.3f s packet, %10.3f s \
                             hybrid@."
           p_wall h_wall;
-        gate
-          (thr_ratio >= hybrid_throughput_ratio_min
-          && thr_ratio <= hybrid_throughput_ratio_max)
-          "N=%d: foreground throughput ratio %.3f outside [%.2f, %.2f]" n
-          thr_ratio hybrid_throughput_ratio_min hybrid_throughput_ratio_max;
-        gate
-          (queue_ratio >= hybrid_queue_ratio_min
-          && queue_ratio <= hybrid_queue_ratio_max)
-          "N=%d: combined queue ratio %.3f outside [%.2f, %.2f]" n queue_ratio
-          hybrid_queue_ratio_min hybrid_queue_ratio_max;
-        gate
-          (loss_err <= hybrid_loss_abs_tol)
-          "N=%d: loss-rate gap %.4f exceeds tolerance %.3f" n loss_err
-          hybrid_loss_abs_tol;
-        gate (event_ratio >= 1.)
-          "N=%d: hybrid did more work than pure packet (%.2fx)" n event_ratio;
+        (* Leaks and slab growth of the validation runs are not in the
+           file, so only the bench can gate them. *)
         gate p_leak "N=%d: pure packet run leaked" n;
         gate h_leak "N=%d: hybrid run leaked" n;
         gate (h_ft = 0 && h_qg = 0)
@@ -1564,10 +1448,6 @@ let run_hybrid_bench () =
         s.Burstcore.Metrics.bg_window_mean s.Burstcore.Metrics.bg_queue_mean
         s.Burstcore.Metrics.slowdown_mean
   | None -> ());
-  gate c_leak "converged N=%d: leaked" conv_n;
-  gate (c_ft = 0 && c_qg = 0)
-    "converged N=%d: slabs grew (%d flow-table, %d event-queue)" conv_n c_ft
-    c_qg;
   let work_ratio =
     if !fast then begin
       Format.fprintf std
@@ -1590,11 +1470,6 @@ let run_hybrid_bench () =
         conv_n p_events probe_s p_wall packet_work;
       Format.fprintf std "  work ratio            %12.0fx  (floor %.0fx)@." r
         hybrid_work_ratio_min;
-      gate
-        (r >= hybrid_work_ratio_min)
-        "converged N=%d: %.1fx work reduction is below the committed floor \
-         %.0fx"
-        conv_n r hybrid_work_ratio_min;
       Some r
     end
   in
@@ -1718,16 +1593,6 @@ let run_hybrid_bench () =
       osc_row "unstable" (wq_critical *. 100.);
     ]
   in
-  List.iter
-    (fun (w_q, side, o) ->
-      let expected = side = "unstable" in
-      gate
-        (o.Telemetry.Burst.o_oscillating = expected)
-        "oscillation detector missed the %s side at w_q %.2e (rel %.3f, %d \
-         crossings)"
-        side w_q o.Telemetry.Burst.o_rel_amplitude
-        o.Telemetry.Burst.o_crossings)
-    sweep_rows;
   let sweep_row_json (w_q, side, o) =
     Burstcore.Json.Obj
       [
@@ -1772,10 +1637,7 @@ let run_hybrid_bench () =
             ] );
       ]
   in
-  Burstcore.Export.write_file "BENCH_hybrid.json"
-    (Burstcore.Json.to_string json ^ "\n");
-  Format.fprintf std "@.wrote BENCH_hybrid.json@.";
-  if !failed then exit 1
+  write_report ~failed:!failed Telemetry.Report.Hybrid "BENCH_hybrid.json" json
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the simulator primitives                *)
@@ -1783,19 +1645,6 @@ let run_hybrid_bench () =
 module Micro = struct
   open Bechamel
   open Toolkit
-
-  module Int_heap = Sim_engine.Heap.Make (Int)
-
-  let heap_push_pop =
-    Test.make ~name:"heap push+pop x100"
-      (Staged.stage (fun () ->
-           let h = Int_heap.create () in
-           for i = 0 to 99 do
-             Int_heap.push h ((i * 7919) mod 101)
-           done;
-           for _ = 0 to 99 do
-             ignore (Int_heap.pop h)
-           done))
 
   let event_queue_cycle =
     Test.make ~name:"event_queue schedule+pop x100"
@@ -1852,7 +1701,6 @@ module Micro = struct
   let tests =
     Test.make_grouped ~name:"primitives" ~fmt:"%s %s"
       [
-        heap_push_pop;
         event_queue_cycle;
         rng_exponential;
         red_enqueue_dequeue;

@@ -1079,18 +1079,7 @@ let report_check_cmd =
     in
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("telemetry", `Telemetry);
-               ("alloc", `Alloc);
-               ("flows", `Flows);
-               ("bench-telemetry", `Bench_telemetry);
-               ("burst", `Burst);
-               ("parallel", `Parallel);
-               ("hybrid", `Hybrid);
-             ])
-          `Telemetry
+      & opt (enum Telemetry.Report.kinds) Telemetry.Report.Telemetry
       & info [ "kind" ] ~docv:"KIND" ~doc)
   in
   let run kind file =
@@ -1105,18 +1094,10 @@ let report_check_cmd =
         ~finally:(fun () -> close_in ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    let validate, what =
-      match kind with
-      | `Telemetry -> (Telemetry.Report.validate, "telemetry report")
-      | `Alloc -> (Telemetry.Report.validate_alloc, "alloc report")
-      | `Flows -> (Telemetry.Report.validate_flows, "flows report")
-      | `Bench_telemetry ->
-          (Telemetry.Report.validate_bench_telemetry, "bench-telemetry report")
-      | `Burst -> (Telemetry.Report.validate_burst, "burst report")
-      | `Parallel -> (Telemetry.Report.validate_parallel, "parallel report")
-      | `Hybrid -> (Telemetry.Report.validate_hybrid, "hybrid report")
-    in
-    match Result.bind (Burstcore.Json.parse contents) validate with
+    let what = Telemetry.Report.name kind ^ " report" in
+    match
+      Result.bind (Burstcore.Json.parse contents) (Telemetry.Report.check kind)
+    with
     | Ok () -> print_endline (what ^ " ok")
     | Error msg ->
         Format.eprintf "%s: invalid %s: %s@." file what msg;

@@ -60,724 +60,394 @@ let to_json t =
       ("metrics", t.metrics);
     ]
 
-let required_fields =
+(* ------------------------------------------------------------------ *)
+(* Gate combinators                                                    *)
+
+(* A gate ([scope -> string list]) checks the object in scope and
+   returns its failure messages. The scope carries the enclosing objects
+   too, innermost first, so a row can be held to a bound stored in its
+   file's header: [number] looks a field up from the inside out.
+   Messages are prefixed with the scope's label ("N=1000: ",
+   "converged: "). *)
+type scope = { prefix : string; here : Json.t; outer : Json.t list }
+
+let number sc f =
+  Option.bind
+    (List.find_map (Json.member f) (sc.here :: sc.outer))
+    Json.to_float
+
+let failf sc fmt = Printf.ksprintf (fun m -> [ sc.prefix ^ m ]) fmt
+let fail msg sc = [ sc.prefix ^ msg ]
+let all gates sc = List.concat_map (fun g -> g sc) gates
+let enter sc prefix here = { prefix; here; outer = sc.here :: sc.outer }
+
+(* An object carrying every one of [fields]; only then are [gates] run,
+   since a missing field would make their messages noise. *)
+let obj fields gates sc =
+  match sc.here with
+  | Json.Obj _ -> (
+      match List.filter (fun f -> Json.member f sc.here = None) fields with
+      | [] -> all gates sc
+      | missing -> failf sc "missing fields: %s" (String.concat ", " missing))
+  | _ -> fail "not a JSON object" sc
+
+(* The object at [key], checked by [spec] under the label "key: ". *)
+let section key spec sc =
+  spec
+    (enter sc
+       (sc.prefix ^ key ^ ": ")
+       (Option.value (Json.member key sc.here) ~default:Json.Null))
+
+(* The non-empty list at [key]; each row is checked by [spec] under the
+   label [tag] followed by the row's own [field] ("N=" and "flows" give
+   "N=1000: "). *)
+let rows key ~tag:(tag, field) spec sc =
+  let label row =
+    match Json.member field row with
+    | Some (Json.String s) -> tag ^ s
+    | Some (Json.Int n) -> Printf.sprintf "%s%d" tag n
+    | Some (Json.Float x) -> Printf.sprintf "%s%g" tag x
+    | _ -> "<unnamed row>"
+  in
+  match Json.member key sc.here with
+  | Some (Json.List []) -> failf sc "%s is empty" key
+  | Some (Json.List rs) ->
+      List.concat_map (fun r -> spec (enter sc (label r ^ ": ") r)) rs
+  | _ -> failf sc "%s is not a list" key
+
+(* [v] at most the bound stored at [b] (NaN fails every comparison). *)
+let le ?(bound = "budget") what v b sc =
+  match (number sc v, number sc b) with
+  | Some x, Some y ->
+      if x <= y then [] else failf sc "%s %g exceeds %s %g" what x bound y
+  | _ -> failf sc "%s fields are not numbers" what
+
+(* [v] at least the floor stored at [b]. *)
+let ge what v b sc =
+  match (number sc v, number sc b) with
+  | Some x, Some y ->
+      if x >= y then []
+      else failf sc "%s %gx is below the committed floor %gx" what x y
+  | _ -> failf sc "%s fields are not numbers" what
+
+(* [v] inside the band stored at [lo], [hi]. *)
+let between what v lo hi sc =
+  match (number sc v, number sc lo, number sc hi) with
+  | Some x, Some a, Some b ->
+      if x >= a && x <= b then []
+      else failf sc "%s %g outside [%g, %g]" what x a b
+  | _ -> failf sc "%s fields are not numbers" what
+
+(* A number satisfying [ok]; [msg] formats the offending value. *)
+let holds f ok msg sc =
+  match number sc f with
+  | Some v -> if ok v then [] else failf sc msg v
+  | None -> failf sc "%s is not a number" f
+
+let is_true ?why f sc =
+  match Json.member f sc.here with
+  | Some (Json.Bool true) -> []
+  | Some (Json.Bool false) -> (
+      match why with
+      | Some why -> failf sc "%s is false (%s)" f why
+      | None -> failf sc "%s is false" f)
+  | _ -> failf sc "%s is not a bool" f
+
+(* [gates] apply only while the bool [flag] equals [is]; an absent
+   flag reads as false. *)
+let flag ?(is = true) f gates sc =
+  match Json.member f sc.here with
+  | Some (Json.Bool b) -> if b = is then all gates sc else []
+  | None -> if not is then all gates sc else []
+  | Some _ -> failf sc "%s is not a bool" f
+
+(* [if_null] when field [f] is null, [gates] otherwise. *)
+let on_null f ~if_null gates sc =
+  all (if Json.member f sc.here = Some Json.Null then if_null else gates) sc
+
+let slabs_stable sc =
+  match (number sc "flow_table_growths", number sc "queue_growths") with
+  | Some ft, Some q ->
+      if ft = 0. && q = 0. then []
+      else failf sc "slabs grew (%g flow-table, %g event-queue)" ft q
+  | _ -> fail "growth fields are not numbers" sc
+
+(* A RED w_q sweep: every row's oscillation-detector verdict matches its
+   declared side of the stability threshold, and both sides occur. *)
+let verdict sc =
+  match (Json.member "side" sc.here, Json.member "oscillating" sc.here) with
+  | Some (Json.String (("stable" | "unstable") as side)), Some (Json.Bool osc)
+    ->
+      if osc = (side = "unstable") then []
+      else
+        failf sc "detector verdict oscillating=%b contradicts side %S" osc side
+  | Some (Json.String side), Some (Json.Bool _) ->
+      failf sc "side %S is not stable|unstable" side
+  | _ -> fail "side/oscillating have the wrong types" sc
+
+let has_side side sc =
+  match Json.member "rows" sc.here with
+  | Some (Json.List (_ :: _ as rs))
+    when not
+           (List.exists
+              (fun r -> Json.member "side" r = Some (Json.String side))
+              rs) ->
+      failf sc "no %s row" side
+  | _ -> []
+
+let sweep_row_fields =
+  [ "w_q"; "side"; "rel_amplitude"; "frequency_hz"; "crossings"; "oscillating" ]
+
+let sweep =
   [
-    "label";
-    "runs";
-    "events_fired";
-    "event_queue_hwm";
-    "gateway_queue_hwm";
-    "events_per_sec";
-    "phases";
-    "metrics";
+    rows "rows" ~tag:("w_q=", "w_q") (obj sweep_row_fields [ verdict ]);
+    has_side "stable";
+    has_side "unstable";
   ]
 
-(* BENCH_alloc.json: the allocation-budget sweep written by the bench
-   runner. A header describes the sweep; each row is one scenario with
-   its measured GC figures and the committed budget it was checked
-   against. *)
+(* ------------------------------------------------------------------ *)
+(* The gate table: one entry per report kind                           *)
+
+type kind =
+  | Telemetry
+  | Alloc
+  | Flows
+  | Bench_telemetry
+  | Burst
+  | Parallel
+  | Hybrid
+
+let kinds =
+  [
+    ("telemetry", Telemetry);
+    ("alloc", Alloc);
+    ("flows", Flows);
+    ("bench-telemetry", Bench_telemetry);
+    ("burst", Burst);
+    ("parallel", Parallel);
+    ("hybrid", Hybrid);
+  ]
+
+let name kind = fst (List.find (fun (_, k) -> k = kind) kinds)
+
+let required_fields =
+  [
+    "label"; "runs"; "events_fired"; "event_queue_hwm"; "gateway_queue_hwm";
+    "events_per_sec"; "phases"; "metrics";
+  ]
 
 let alloc_required_fields =
   [
-    "clients";
-    "duration_s";
-    "reps";
-    "baseline_minor_words_per_event";
-    "baseline_events_per_sec";
-    "rows";
+    "clients"; "duration_s"; "reps"; "baseline_minor_words_per_event";
+    "baseline_events_per_sec"; "rows";
   ]
 
-let alloc_row_required_fields =
+let alloc_row_fields =
   [
-    "scenario";
-    "clients";
-    "events";
-    "wall_s";
-    "events_per_sec";
-    "minor_words_per_event";
-    "promoted_words_per_event";
-    "major_collections";
-    "threshold_minor_words_per_event";
-    "min_events_per_sec";
-    "leak_free";
+    "scenario"; "clients"; "events"; "wall_s"; "events_per_sec";
+    "minor_words_per_event"; "promoted_words_per_event"; "major_collections";
+    "threshold_minor_words_per_event"; "min_events_per_sec"; "leak_free";
   ]
-
-let validate_alloc_row row =
-  match row with
-  | Json.Obj _ -> (
-      let label =
-        match Json.member "scenario" row with
-        | Some (Json.String s) -> s
-        | _ -> "<unnamed row>"
-      in
-      let missing =
-        List.filter (fun f -> Json.member f row = None) alloc_row_required_fields
-      in
-      if missing <> [] then
-        [ label ^ ": missing fields: " ^ String.concat ", " missing ]
-      else
-        let number f = Option.bind (Json.member f row) Json.to_float in
-        (match (number "minor_words_per_event", number "threshold_minor_words_per_event")
-         with
-        | Some wpe, Some threshold when wpe > threshold ->
-            [
-              Printf.sprintf "%s: minor_words_per_event %.4f exceeds threshold %g"
-                label wpe threshold;
-            ]
-        | Some _, Some _ -> []
-        | _ -> [ label ^ ": words_per_event fields are not numbers" ])
-        @
-        match Json.member "leak_free" row with
-        | Some (Json.Bool true) -> []
-        | Some (Json.Bool false) -> [ label ^ ": leak_free is false" ]
-        | _ -> [ label ^ ": leak_free is not a bool" ])
-  | _ -> [ "row is not an object" ]
-
-let validate_alloc j =
-  match j with
-  | Json.Obj _ -> (
-      let missing =
-        List.filter (fun f -> Json.member f j = None) alloc_required_fields
-      in
-      if missing <> [] then
-        Error ("missing fields: " ^ String.concat ", " missing)
-      else
-        match Json.member "rows" j with
-        | Some (Json.List []) -> Error "rows is empty"
-        | Some (Json.List rows) -> (
-            match List.concat_map validate_alloc_row rows with
-            | [] -> Ok ()
-            | errors -> Error (String.concat "; " errors))
-        | _ -> Error "rows is not a list")
-  | _ -> Error "alloc report is not a JSON object"
-
-(* BENCH_flows.json: the flow-scaling sweep (10^3..10^5 greedy flows).
-   Schema check plus the budgets the file itself carries: per-flow
-   bytes, zero slab growth, leak-freedom, and — on the rows the bench
-   ran to fluid equilibrium ([fluid_gated] true) — the measured/ODE
-   queue and throughput ratios. The events/sec floor is deliberately
-   not re-checked here: wall time depends on the machine and on --fast,
-   and the bench itself enforces it in full mode. *)
 
 let flows_required_fields =
   [
-    "per_flow_capacity_pps";
-    "base_rtt_s";
-    "bytes_per_flow_budget";
-    "minor_words_per_event_budget";
-    "min_events_per_sec";
-    "throughput_ratio_min";
-    "throughput_ratio_max";
-    "queue_ratio_min";
-    "queue_ratio_max";
-    "rows";
+    "per_flow_capacity_pps"; "base_rtt_s"; "bytes_per_flow_budget";
+    "minor_words_per_event_budget"; "min_events_per_sec";
+    "throughput_ratio_min"; "throughput_ratio_max"; "queue_ratio_min";
+    "queue_ratio_max"; "rows";
   ]
 
 let flows_row_required_fields =
   [
-    "flows";
-    "duration_s";
-    "fluid_gated";
-    "events";
-    "wall_s";
-    "events_per_sec";
-    "minor_words_per_event";
-    "bytes_per_flow";
-    "flow_footprint_bytes";
-    "flow_table_growths";
-    "queue_growths";
-    "queue_capacity";
-    "queue_hwm";
-    "wheel_parked";
-    "delivered";
-    "measured_queue";
-    "fluid_queue";
-    "queue_ratio";
-    "measured_throughput_pps";
-    "fluid_throughput_pps";
-    "throughput_ratio";
+    "flows"; "duration_s"; "fluid_gated"; "events"; "wall_s"; "events_per_sec";
+    "minor_words_per_event"; "bytes_per_flow"; "flow_footprint_bytes";
+    "flow_table_growths"; "queue_growths"; "queue_capacity"; "queue_hwm";
+    "wheel_parked"; "delivered"; "measured_queue"; "fluid_queue"; "queue_ratio";
+    "measured_throughput_pps"; "fluid_throughput_pps"; "throughput_ratio";
     "leak_free";
   ]
 
-let validate_flows_row ~header row =
-  match row with
-  | Json.Obj _ -> (
-      let label =
-        match Json.member "flows" row with
-        | Some (Json.Int n) -> Printf.sprintf "N=%d" n
-        | _ -> "<unnamed row>"
-      in
-      let missing =
-        List.filter (fun f -> Json.member f row = None) flows_row_required_fields
-      in
-      if missing <> [] then
-        [ label ^ ": missing fields: " ^ String.concat ", " missing ]
-      else begin
-        let number j f = Option.bind (Json.member f j) Json.to_float in
-        let errors = ref [] in
-        let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-        (* A smoke row (the N = 10^6 scale probe) commits only to the
-           per-flow byte budget and leak-freedom: its horizon is too
-           short for steady-state words/event or fluid ratios, and its
-           slabs are allowed to grow. Absent [smoke] means false. *)
-        let smoke =
-          match Json.member "smoke" row with
-          | Some (Json.Bool b) -> b
-          | _ -> false
-        in
-        let le what measured budget =
-          match (number row measured, number header budget) with
-          | Some m, Some b ->
-              if m > b then err "%s: %s %g exceeds budget %g" label what m b
-          | _ -> err "%s: %s fields are not numbers" label what
-        in
-        le "bytes_per_flow" "bytes_per_flow" "bytes_per_flow_budget";
-        if not smoke then begin
-          le "minor words/event" "minor_words_per_event"
-            "minor_words_per_event_budget";
-          match (number row "flow_table_growths", number row "queue_growths")
-          with
-          | Some ft, Some q ->
-              if ft <> 0. || q <> 0. then
-                err "%s: slabs grew (%g flow-table, %g event-queue)" label ft q
-          | _ -> err "%s: growth fields are not numbers" label
-        end;
-        (match Json.member "leak_free" row with
-        | Some (Json.Bool true) -> ()
-        | Some (Json.Bool false) -> err "%s: leak_free is false" label
-        | _ -> err "%s: leak_free is not a bool" label);
-        (match Json.member "fluid_gated" row with
-        | Some (Json.Bool true) ->
-            let within what v lo hi =
-              match (number row v, number header lo, number header hi) with
-              | Some x, Some a, Some b ->
-                  if x < a || x > b then
-                    err "%s: %s %g outside [%g, %g]" label what x a b
-              | _ -> err "%s: %s fields are not numbers" label what
-            in
-            within "throughput ratio" "throughput_ratio"
-              "throughput_ratio_min" "throughput_ratio_max";
-            within "queue ratio" "queue_ratio" "queue_ratio_min"
-              "queue_ratio_max"
-        | Some (Json.Bool false) -> ()
-        | _ -> err "%s: fluid_gated is not a bool" label);
-        List.rev !errors
-      end)
-  | _ -> [ "row is not an object" ]
-
-let validate_flows j =
-  match j with
-  | Json.Obj _ -> (
-      let missing =
-        List.filter (fun f -> Json.member f j = None) flows_required_fields
-      in
-      if missing <> [] then
-        Error ("missing fields: " ^ String.concat ", " missing)
-      else
-        match Json.member "rows" j with
-        | Some (Json.List []) -> Error "rows is empty"
-        | Some (Json.List rows) -> (
-            match List.concat_map (validate_flows_row ~header:j) rows with
-            | [] -> Ok ()
-            | errors -> Error (String.concat "; " errors))
-        | _ -> Error "rows is not a list")
-  | _ -> Error "flows report is not a JSON object"
-
-(* BENCH_parallel.json: the sequential-vs-parallel sweep comparison plus
-   the single-run sharded-PDES scaling section. Both determinism flags
-   are hard gates; the single-run speedup is re-checked against the
-   file's own [min_speedup] floor, but only when the bench recorded one
-   (it records null on machines with fewer than 4 domains, where the
-   ratio would measure oversubscription noise, not scaling). *)
-
 let parallel_required_fields =
   [
-    "scenario";
-    "clients";
-    "replicates";
-    "duration_s";
-    "domains";
-    "sequential_wall_s";
-    "parallel_wall_s";
-    "speedup";
-    "deterministic";
+    "scenario"; "clients"; "replicates"; "duration_s"; "domains";
+    "sequential_wall_s"; "parallel_wall_s"; "speedup"; "deterministic";
     "single_run";
   ]
 
 let parallel_single_run_required_fields =
   [
-    "scenario";
-    "clients";
-    "duration_s";
-    "window_s";
-    "available_domains";
-    "min_speedup";
-    "rows";
-    "speedup";
-    "sharded_deterministic";
+    "scenario"; "clients"; "duration_s"; "window_s"; "available_domains";
+    "min_speedup"; "rows"; "speedup"; "sharded_deterministic";
   ]
 
-let validate_parallel j =
-  match j with
-  | Json.Obj _ -> (
-      let missing =
-        List.filter (fun f -> Json.member f j = None) parallel_required_fields
-      in
-      if missing <> [] then
-        Error ("missing fields: " ^ String.concat ", " missing)
-      else begin
-        let errors = ref [] in
-        let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-        let number o f = Option.bind (Json.member f o) Json.to_float in
-        (match Json.member "deterministic" j with
-        | Some (Json.Bool true) -> ()
-        | Some (Json.Bool false) ->
-            err "deterministic is false (parallel sweep diverged)"
-        | _ -> err "deterministic is not a bool");
-        (match Json.member "single_run" j with
-        | Some (Json.Obj _ as sr) ->
-            let missing =
-              List.filter
-                (fun f -> Json.member f sr = None)
-                parallel_single_run_required_fields
-            in
-            if missing <> [] then
-              err "single_run: missing fields: %s" (String.concat ", " missing)
-            else begin
-              (match Json.member "sharded_deterministic" sr with
-              | Some (Json.Bool true) -> ()
-              | Some (Json.Bool false) ->
-                  err
-                    "single_run: sharded_deterministic is false (1-shard and \
-                     K-shard runs diverged)"
-              | _ -> err "single_run: sharded_deterministic is not a bool");
-              (match Json.member "rows" sr with
-              | Some (Json.List []) -> err "single_run: rows is empty"
-              | Some (Json.List rows) ->
-                  List.iter
-                    (fun row ->
-                      match (number row "shards", number row "wall_s") with
-                      | Some _, Some _ -> ()
-                      | _ ->
-                          err
-                            "single_run: row without numeric shards/wall_s \
-                             fields")
-                    rows
-              | _ -> err "single_run: rows is not a list");
-              match Json.member "speedup" sr with
-              | Some Json.Null -> (
-                  match number sr "available_domains" with
-                  | Some d when d >= 4. ->
-                      err
-                        "single_run: speedup is null despite %g available \
-                         domains" d
-                  | Some _ -> ()
-                  | None -> err "single_run: available_domains is not a number")
-              | Some v -> (
-                  match (Json.to_float v, number sr "min_speedup") with
-                  | Some s, Some m ->
-                      if s < m then
-                        err
-                          "single_run: speedup %.2fx is below the committed \
-                           floor %.2fx" s m
-                  | _ -> err "single_run: speedup/min_speedup are not numbers")
-              | None -> ()
-            end
-        | _ -> err "single_run is not an object");
-        match List.rev !errors with
-        | [] -> Ok ()
-        | errors -> Error (String.concat "; " errors)
-      end)
-  | _ -> Error "parallel report is not a JSON object"
-
-(* BENCH_telemetry.json: the three-configuration overhead benchmark
-   (baseline / probed / probed+recorder). Schema check plus the
-   committed budgets the file itself carries. *)
-let bench_telemetry_required_fields =
+let bench_telemetry_fields =
   [
-    "scenario";
-    "clients";
-    "events";
-    "baseline_events_per_sec";
-    "probed_events_per_sec";
-    "recorded_events_per_sec";
-    "probed_run_s";
-    "recorded_run_s";
-    "probe_overhead_pct";
-    "probe_overhead_budget_pct";
-    "recorder_overhead_pct";
-    "recorder_overhead_budget_pct";
-    "recorder_minor_words_per_event_delta";
-    "recorder_words_budget";
-    "recorder_records";
-    "recorder_dropped";
+    "scenario"; "clients"; "events"; "baseline_events_per_sec";
+    "probed_events_per_sec"; "recorded_events_per_sec"; "probed_run_s";
+    "recorded_run_s"; "probe_overhead_pct"; "probe_overhead_budget_pct";
+    "recorder_overhead_pct"; "recorder_overhead_budget_pct";
+    "recorder_minor_words_per_event_delta"; "recorder_words_budget";
+    "recorder_records"; "recorder_dropped";
   ]
 
-let validate_bench_telemetry j =
-  match j with
-  | Json.Obj _ -> (
-      let missing =
-        List.filter
-          (fun f -> Json.member f j = None)
-          bench_telemetry_required_fields
-      in
-      if missing <> [] then
-        Error ("missing fields: " ^ String.concat ", " missing)
-      else
-        let number f = Option.bind (Json.member f j) Json.to_float in
-        let gate what value budget =
-          match (number value, number budget) with
-          | Some v, Some b when v > b ->
-              [ Printf.sprintf "%s %.4f exceeds budget %g" what v b ]
-          | Some _, Some _ -> []
-          | _ -> [ Printf.sprintf "%s fields are not numbers" what ]
-        in
-        let errors =
-          gate "probe overhead pct" "probe_overhead_pct"
-            "probe_overhead_budget_pct"
-          @ gate "recorder overhead pct" "recorder_overhead_pct"
-              "recorder_overhead_budget_pct"
-          @ gate "recorder minor words/event delta"
-              "recorder_minor_words_per_event_delta" "recorder_words_budget"
-          @
-          match number "recorder_records" with
-          | Some r when r > 0. -> []
-          | Some _ -> [ "recorder_records is zero" ]
-          | None -> [ "recorder_records is not a number" ]
-        in
-        match errors with
-        | [] -> Ok ()
-        | errors -> Error (String.concat "; " errors))
-  | _ -> Error "bench-telemetry report is not a JSON object"
-
-(* BENCH_burst.json: the burstiness-observability benchmark. Three
-   claims travel in one file and are re-checked here from the file's
-   own committed budgets: (1) the streaming aggregator's allocation
-   cost per event stays under its budget, (2) the streaming c.o.v. at
-   the paper's RTT timescale matches the offline estimator within
-   tolerance, and (3) the oscillation detector fires on the unstable
-   side — and only the unstable side — of a RED w_q sweep bracketing
-   the linearized (Hollot-style) stability condition. *)
-
-let burst_required_fields =
+let burst_fields =
   [
-    "scenario";
-    "clients";
-    "reps";
-    "events";
-    "probed_run_s";
-    "burst_run_s";
-    "burst_overhead_pct";
-    "burst_minor_words_per_event_delta";
-    "burst_words_budget";
-    "cov_offline";
-    "cov_streaming";
-    "cov_abs_err";
-    "cov_tolerance";
-    "red_sweep";
+    "scenario"; "clients"; "reps"; "events"; "probed_run_s"; "burst_run_s";
+    "burst_overhead_pct"; "burst_minor_words_per_event_delta";
+    "burst_words_budget"; "cov_offline"; "cov_streaming"; "cov_abs_err";
+    "cov_tolerance"; "red_sweep";
   ]
-
-let burst_row_required_fields =
-  [ "w_q"; "side"; "rel_amplitude"; "frequency_hz"; "crossings"; "oscillating" ]
-
-let validate_burst_row row =
-  match row with
-  | Json.Obj _ -> (
-      let label =
-        match Option.bind (Json.member "w_q" row) Json.to_float with
-        | Some w -> Printf.sprintf "w_q=%g" w
-        | None -> "<unnamed row>"
-      in
-      let missing =
-        List.filter (fun f -> Json.member f row = None) burst_row_required_fields
-      in
-      if missing <> [] then
-        [ label ^ ": missing fields: " ^ String.concat ", " missing ]
-      else
-        match (Json.member "side" row, Json.member "oscillating" row) with
-        | Some (Json.String side), Some (Json.Bool osc) ->
-            if side <> "stable" && side <> "unstable" then
-              [ Printf.sprintf "%s: side %S is not stable|unstable" label side ]
-            else if osc <> (side = "unstable") then
-              [
-                Printf.sprintf
-                  "%s: detector verdict oscillating=%b contradicts side %S"
-                  label osc side;
-              ]
-            else []
-        | _ -> [ label ^ ": side/oscillating have the wrong types" ])
-  | _ -> [ "red_sweep row is not an object" ]
-
-let validate_burst j =
-  match j with
-  | Json.Obj _ -> (
-      let missing =
-        List.filter (fun f -> Json.member f j = None) burst_required_fields
-      in
-      if missing <> [] then
-        Error ("missing fields: " ^ String.concat ", " missing)
-      else
-        let number f = Option.bind (Json.member f j) Json.to_float in
-        let gate what value budget =
-          match (number value, number budget) with
-          | Some v, Some b when v > b ->
-              [ Printf.sprintf "%s %g exceeds budget %g" what v b ]
-          | Some _, Some _ -> []
-          | _ -> [ Printf.sprintf "%s fields are not numbers" what ]
-        in
-        let errors =
-          gate "burst minor words/event delta"
-            "burst_minor_words_per_event_delta" "burst_words_budget"
-          @ gate "streaming-vs-offline c.o.v. error" "cov_abs_err"
-              "cov_tolerance"
-          @
-          match Json.member "red_sweep" j with
-          | Some (Json.Obj _ as sweep) -> (
-              match Json.member "rows" sweep with
-              | Some (Json.List []) -> [ "red_sweep.rows is empty" ]
-              | Some (Json.List rows) ->
-                  let row_errors = List.concat_map validate_burst_row rows in
-                  let side s row =
-                    Json.member "side" row = Some (Json.String s)
-                  in
-                  (if List.exists (side "stable") rows then []
-                   else [ "red_sweep has no stable row" ])
-                  @ (if List.exists (side "unstable") rows then []
-                     else [ "red_sweep has no unstable row" ])
-                  @ row_errors
-              | _ -> [ "red_sweep.rows is not a list" ])
-          | Some _ -> [ "red_sweep is not an object" ]
-          | None -> []
-        in
-        match errors with
-        | [] -> Ok ()
-        | errors -> Error (String.concat "; " errors))
-  | _ -> Error "burst report is not a JSON object"
-
-(* BENCH_hybrid.json: the hybrid fluid/packet engine report. Three
-   claims travel in one file: (1) at N in {10^3, 10^4} the hybrid engine
-   (K packet-level foreground flows + fluid background) reproduces the
-   pure packet-level run's foreground throughput, combined queue and
-   loss rate within the file's own tolerance bands, (2) the converged
-   N = 10^6 run is leak-free, slab-stable, and does at least
-   [work_ratio_min] times less work per simulated second than the pure
-   packet extrapolation (the ratio is null in --fast/smoke mode, where
-   the horizon is too short to measure it honestly), and (3) the RED
-   w_q stability sweep at mean-field scale classifies every row on the
-   side the fluid Hopf threshold predicts. *)
 
 let hybrid_required_fields =
   [
-    "scenario";
-    "foreground";
-    "throughput_ratio_min";
-    "throughput_ratio_max";
-    "queue_ratio_min";
-    "queue_ratio_max";
-    "loss_abs_tol";
-    "work_ratio_min";
-    "validation";
-    "converged";
-    "stability_sweep";
+    "scenario"; "foreground"; "throughput_ratio_min"; "throughput_ratio_max";
+    "queue_ratio_min"; "queue_ratio_max"; "loss_abs_tol"; "work_ratio_min";
+    "validation"; "converged"; "stability_sweep";
   ]
 
 let hybrid_validation_row_required_fields =
   [
-    "flows";
-    "background";
-    "packet_throughput_pps";
-    "hybrid_throughput_pps";
-    "throughput_ratio";
-    "packet_queue_mean";
-    "hybrid_queue_mean";
-    "queue_ratio";
-    "packet_loss_rate";
-    "hybrid_loss_rate";
-    "loss_abs_err";
-    "event_ratio";
+    "flows"; "background"; "packet_throughput_pps"; "hybrid_throughput_pps";
+    "throughput_ratio"; "packet_queue_mean"; "hybrid_queue_mean"; "queue_ratio";
+    "packet_loss_rate"; "hybrid_loss_rate"; "loss_abs_err"; "event_ratio";
   ]
 
 let hybrid_converged_required_fields =
   [
-    "flows";
-    "foreground";
-    "background";
-    "duration_s";
-    "events";
-    "wall_s";
-    "events_per_sec";
-    "bg_window_mean";
-    "bg_queue_mean";
-    "slowdown_mean";
-    "flow_table_growths";
-    "queue_growths";
-    "leak_free";
-    "smoke";
-    "work_ratio";
+    "flows"; "foreground"; "background"; "duration_s"; "events"; "wall_s";
+    "events_per_sec"; "bg_window_mean"; "bg_queue_mean"; "slowdown_mean";
+    "flow_table_growths"; "queue_growths"; "leak_free"; "smoke"; "work_ratio";
   ]
 
-let validate_hybrid_row ~header row =
-  match row with
-  | Json.Obj _ -> (
-      let label =
-        match Json.member "flows" row with
-        | Some (Json.Int n) -> Printf.sprintf "N=%d" n
-        | _ -> "<unnamed row>"
-      in
-      let missing =
-        List.filter
-          (fun f -> Json.member f row = None)
-          hybrid_validation_row_required_fields
-      in
-      if missing <> [] then
-        [ label ^ ": missing fields: " ^ String.concat ", " missing ]
-      else begin
-        let number j f = Option.bind (Json.member f j) Json.to_float in
-        let errors = ref [] in
-        let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-        let within what v lo hi =
-          match (number row v, number header lo, number header hi) with
-          | Some x, Some a, Some b ->
-              if x < a || x > b then
-                err "%s: %s %g outside [%g, %g]" label what x a b
-          | _ -> err "%s: %s fields are not numbers" label what
-        in
-        within "foreground throughput ratio" "throughput_ratio"
-          "throughput_ratio_min" "throughput_ratio_max";
-        within "combined queue ratio" "queue_ratio" "queue_ratio_min"
-          "queue_ratio_max";
-        (match (number row "loss_abs_err", number header "loss_abs_tol") with
-        | Some e, Some tol ->
-            if e > tol then
-              err "%s: loss-rate error %g exceeds tolerance %g" label e tol
-        | _ -> err "%s: loss_abs_err fields are not numbers" label);
-        (match number row "event_ratio" with
-        | Some r when r < 1. ->
-            err "%s: hybrid did more work than pure packet (event ratio %g)"
-              label r
-        | Some _ -> ()
-        | None -> err "%s: event_ratio is not a number" label);
-        List.rev !errors
-      end)
-  | _ -> [ "validation row is not an object" ]
+let gates = function
+  | Telemetry ->
+      obj required_fields
+        [
+          (fun sc ->
+            match Json.member "phases" sc.here with
+            | Some (Json.Obj _) -> []
+            | _ -> fail "phases is not an object" sc);
+          (fun sc ->
+            match Json.member "metrics" sc.here with
+            | Some (Json.List _) -> []
+            | _ -> fail "metrics is not a list" sc);
+        ]
+  | Alloc ->
+      obj alloc_required_fields
+        [
+          rows "rows" ~tag:("", "scenario")
+            (obj alloc_row_fields
+               [
+                 le ~bound:"threshold" "minor_words_per_event"
+                   "minor_words_per_event" "threshold_minor_words_per_event";
+                 is_true "leak_free";
+               ]);
+        ]
+  | Flows ->
+      obj flows_required_fields
+        [
+          rows "rows" ~tag:("N=", "flows")
+            (obj flows_row_required_fields
+               [
+                 le "bytes_per_flow" "bytes_per_flow" "bytes_per_flow_budget";
+                 is_true "leak_free";
+                 (* The N = 10^6 scale probe is too short for steady-state
+                    words/event and its slabs may grow. *)
+                 flag ~is:false "smoke"
+                   [
+                     le "minor words/event" "minor_words_per_event"
+                       "minor_words_per_event_budget";
+                     slabs_stable;
+                   ];
+                 flag "fluid_gated"
+                   [
+                     between "throughput ratio" "throughput_ratio"
+                       "throughput_ratio_min" "throughput_ratio_max";
+                     between "queue ratio" "queue_ratio" "queue_ratio_min"
+                       "queue_ratio_max";
+                   ];
+               ]);
+        ]
+  | Bench_telemetry ->
+      obj bench_telemetry_fields
+        [
+          le "probe overhead pct" "probe_overhead_pct"
+            "probe_overhead_budget_pct";
+          le "recorder overhead pct" "recorder_overhead_pct"
+            "recorder_overhead_budget_pct";
+          le "recorder minor words/event delta"
+            "recorder_minor_words_per_event_delta" "recorder_words_budget";
+          holds "recorder_records" (fun r -> r > 0.)
+            "recorder_records %g is not positive";
+        ]
+  | Burst ->
+      obj burst_fields
+        [
+          le "burst minor words/event delta" "burst_minor_words_per_event_delta"
+            "burst_words_budget";
+          le "streaming-vs-offline c.o.v. error" "cov_abs_err" "cov_tolerance";
+          section "red_sweep" (obj [] sweep);
+        ]
+  | Parallel ->
+      obj parallel_required_fields
+        [
+          is_true ~why:"parallel sweep diverged" "deterministic";
+          section "single_run"
+            (obj parallel_single_run_required_fields
+               [
+                 is_true ~why:"1-shard and K-shard runs diverged"
+                   "sharded_deterministic";
+                 rows "rows" ~tag:("shards=", "shards")
+                   (obj [ "shards"; "wall_s" ] []);
+                 (* Null below 4 domains, where the ratio would measure
+                    oversubscription rather than scaling. *)
+                 on_null "speedup"
+                   ~if_null:
+                     [
+                       holds "available_domains" (fun d -> d < 4.)
+                         "speedup is null despite %g available domains";
+                     ]
+                   [ ge "speedup" "speedup" "min_speedup" ];
+               ]);
+        ]
+  | Hybrid ->
+      obj hybrid_required_fields
+        [
+          rows "validation" ~tag:("N=", "flows")
+            (obj hybrid_validation_row_required_fields
+               [
+                 between "foreground throughput ratio" "throughput_ratio"
+                   "throughput_ratio_min" "throughput_ratio_max";
+                 between "combined queue ratio" "queue_ratio" "queue_ratio_min"
+                   "queue_ratio_max";
+                 le ~bound:"tolerance" "loss-rate error" "loss_abs_err"
+                   "loss_abs_tol";
+                 holds "event_ratio" (fun r -> r >= 1.)
+                   "hybrid did more work than pure packet (event ratio %g)";
+               ]);
+          section "converged"
+            (obj hybrid_converged_required_fields
+               [
+                 is_true "leak_free";
+                 slabs_stable;
+                 (* Null in smoke mode: the --fast horizon is too short to
+                    measure the ratio honestly. *)
+                 on_null "work_ratio"
+                   ~if_null:
+                     [
+                       flag ~is:false "smoke"
+                         [ fail "work_ratio is null outside smoke mode" ];
+                     ]
+                   [ ge "work ratio" "work_ratio" "work_ratio_min" ];
+               ]);
+          section "stability_sweep"
+            (obj []
+               (holds "wq_critical" (fun w -> w > 0.)
+                  "wq_critical %g is not positive"
+               :: sweep));
+        ]
 
-let validate_hybrid j =
-  match j with
-  | Json.Obj _ -> (
-      let missing =
-        List.filter (fun f -> Json.member f j = None) hybrid_required_fields
-      in
-      if missing <> [] then
-        Error ("missing fields: " ^ String.concat ", " missing)
-      else begin
-        let errors = ref [] in
-        let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-        let number o f = Option.bind (Json.member f o) Json.to_float in
-        (match Json.member "validation" j with
-        | Some (Json.List []) -> err "validation is empty"
-        | Some (Json.List rows) ->
-            List.iter
-              (fun row ->
-                List.iter
-                  (fun m -> errors := m :: !errors)
-                  (validate_hybrid_row ~header:j row))
-              rows
-        | _ -> err "validation is not a list");
-        (match Json.member "converged" j with
-        | Some (Json.Obj _ as c) -> (
-            let missing =
-              List.filter
-                (fun f -> Json.member f c = None)
-                hybrid_converged_required_fields
-            in
-            if missing <> [] then
-              err "converged: missing fields: %s" (String.concat ", " missing)
-            else begin
-              (match Json.member "leak_free" c with
-              | Some (Json.Bool true) -> ()
-              | Some (Json.Bool false) -> err "converged: leak_free is false"
-              | _ -> err "converged: leak_free is not a bool");
-              (match
-                 (number c "flow_table_growths", number c "queue_growths")
-               with
-              | Some ft, Some q ->
-                  if ft <> 0. || q <> 0. then
-                    err "converged: slabs grew (%g flow-table, %g event-queue)"
-                      ft q
-              | _ -> err "converged: growth fields are not numbers");
-              let smoke =
-                match Json.member "smoke" c with
-                | Some (Json.Bool b) -> b
-                | _ -> false
-              in
-              match Json.member "work_ratio" c with
-              | Some Json.Null ->
-                  if not smoke then
-                    err "converged: work_ratio is null outside smoke mode"
-              | Some v -> (
-                  match (Json.to_float v, number j "work_ratio_min") with
-                  | Some r, Some m ->
-                      if r < m then
-                        err
-                          "converged: work ratio %.1fx is below the committed \
-                           floor %.1fx" r m
-                  | _ ->
-                      err "converged: work_ratio/work_ratio_min are not numbers"
-              )
-              | None -> ()
-            end)
-        | _ -> err "converged is not an object");
-        (match Json.member "stability_sweep" j with
-        | Some (Json.Obj _ as sweep) -> (
-            (match number sweep "wq_critical" with
-            | Some w when w > 0. -> ()
-            | Some w -> err "stability_sweep: wq_critical %g is not positive" w
-            | None -> err "stability_sweep: wq_critical is not a number");
-            match Json.member "rows" sweep with
-            | Some (Json.List []) -> err "stability_sweep.rows is empty"
-            | Some (Json.List rows) ->
-                List.iter
-                  (fun row ->
-                    List.iter
-                      (fun m -> errors := m :: !errors)
-                      (validate_burst_row row))
-                  rows;
-                let side s row =
-                  Json.member "side" row = Some (Json.String s)
-                in
-                if not (List.exists (side "stable") rows) then
-                  err "stability_sweep has no stable row";
-                if not (List.exists (side "unstable") rows) then
-                  err "stability_sweep has no unstable row"
-            | _ -> err "stability_sweep.rows is not a list")
-        | _ -> err "stability_sweep is not an object");
-        match List.rev !errors with
-        | [] -> Ok ()
-        | errors -> Error (String.concat "; " errors)
-      end)
-  | _ -> Error "hybrid report is not a JSON object"
-
-let validate j =
-  match j with
-  | Json.Obj _ ->
-      let missing =
-        List.filter (fun f -> Json.member f j = None) required_fields
-      in
-      let shape_errors =
-        (match Json.member "phases" j with
-        | Some (Json.Obj _) | None -> []
-        | Some _ -> [ "phases is not an object" ])
-        @
-        match Json.member "metrics" j with
-        | Some (Json.List _) | None -> []
-        | Some _ -> [ "metrics is not a list" ]
-      in
-      if missing = [] && shape_errors = [] then Ok ()
-      else
-        Error
-          (String.concat "; "
-             ((match missing with
-              | [] -> []
-              | _ -> [ "missing fields: " ^ String.concat ", " missing ])
-             @ shape_errors))
-  | _ -> Error "report is not a JSON object"
+let check kind j =
+  match gates kind { prefix = ""; here = j; outer = [] } with
+  | [] -> Ok ()
+  | errors -> Error (String.concat "; " errors)

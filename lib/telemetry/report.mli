@@ -1,9 +1,10 @@
 (** The end-of-run JSON report: a summary snapshot of a {!Probe.t}.
 
     The report is the machine-readable contract behind [--telemetry]:
-    {!required_fields} lists the keys every report carries, and
-    {!validate} checks a parsed document against that contract (used by
-    the [report-check] subcommand and [make check]). *)
+    {!required_fields} lists the keys every report carries. {!check}
+    holds it, and every [BENCH_*.json] file the bench runner writes, to
+    that file's committed gates (used by the bench runner itself, the
+    [report-check] subcommand and [make check]). *)
 
 type t = {
   label : string;
@@ -31,86 +32,76 @@ val of_probe : ?label:string -> Probe.t -> t
 
 val to_json : t -> Json.t
 
+type kind =
+  | Telemetry
+  | Alloc
+  | Flows
+  | Bench_telemetry
+  | Burst
+  | Parallel
+  | Hybrid
+
+val kinds : (string * kind) list
+(** The [report-check --kind] names, in [--help] order. *)
+
+val name : kind -> string
+(** The kind's [--kind] name, e.g. ["bench-telemetry"]. *)
+
+val check : kind -> Json.t -> (unit, string) result
+(** Hold a parsed document to the gates of its kind; the error joins
+    every failure with ["; "]. Every kind first requires an object
+    carrying its required fields (nested objects and rows likewise);
+    budgets and bands are read from the file itself, but which gates
+    apply is decided here, never by the file. Row failures are labelled
+    by the row ("N=1000: ", "w_q=0.000149: "), section failures by the
+    section ("converged: ").
+
+    - [Telemetry] (a [--telemetry] run report): [phases] is an object
+      and [metrics] a list.
+    - [Alloc] ([BENCH_alloc.json]): a non-empty [rows]; each row's
+      [minor_words_per_event] within its [threshold_minor_words_per_event]
+      and [leak_free] true.
+    - [Flows] ([BENCH_flows.json]): a non-empty [rows]; each row's
+      [bytes_per_flow] within [bytes_per_flow_budget] and [leak_free]
+      true; unless the row is a [smoke] row (absent reads as false),
+      [minor_words_per_event] within [minor_words_per_event_budget] and
+      zero flow-table and event-queue growth; when [fluid_gated], the
+      throughput and queue ratios inside the header's bands.
+    - [Bench_telemetry] ([BENCH_telemetry.json]): probe overhead,
+      recorder overhead and recorder words/event delta each within the
+      budget the file carries; [recorder_records] positive.
+    - [Burst] ([BENCH_burst.json]): words/event delta within
+      [burst_words_budget], [cov_abs_err] within [cov_tolerance], and
+      [red_sweep.rows] non-empty with both sides present and every row's
+      [oscillating] verdict matching its [side].
+    - [Parallel] ([BENCH_parallel.json]): [deterministic] true;
+      [single_run.sharded_deterministic] true, non-empty [single_run.rows]
+      carrying [shards] and [wall_s], and [single_run.speedup] at least
+      [min_speedup] — or null, accepted only below 4
+      [available_domains].
+    - [Hybrid] ([BENCH_hybrid.json]): a non-empty [validation] whose rows
+      keep the throughput and queue ratios inside the header bands,
+      [loss_abs_err] within [loss_abs_tol] and [event_ratio] at least 1;
+      [converged] leak-free with zero slab growth and [work_ratio] at
+      least [work_ratio_min] — or null, accepted only when [smoke]; and
+      [stability_sweep] with a positive [wq_critical] and the same sweep
+      gates as [Burst].
+
+    Wall-clock floors ([min_events_per_sec]) are not gated here: they
+    depend on the machine and on [--fast], and the bench enforces them
+    in full mode only. *)
+
+(** Required fields, by object: the run report ([required_fields]), the
+    alloc header, the flows header and rows, the parallel header and
+    [single_run] section, and the hybrid header, [validation] rows and
+    [converged] section. *)
+
 val required_fields : string list
-
-val validate : Json.t -> (unit, string) result
-(** Check that a parsed report is an object carrying every required
-    field, with [phases] an object and [metrics] a list. *)
-
 val alloc_required_fields : string list
-val alloc_row_required_fields : string list
-
-val validate_alloc : Json.t -> (unit, string) result
-(** Check a BENCH_alloc.json document written by the bench runner's
-    allocation gate: the sweep header fields, a non-empty [rows] list,
-    and for every row the full column set plus the committed
-    invariants — [minor_words_per_event] within
-    [threshold_minor_words_per_event] and [leak_free] true. The
-    events/sec floor is deliberately not re-checked here: it is
-    wall-clock sensitive and enforced by the bench itself (full mode
-    only). *)
-
 val flows_required_fields : string list
 val flows_row_required_fields : string list
-
-val validate_flows : Json.t -> (unit, string) result
-(** Check a BENCH_flows.json document written by the flow-scaling
-    sweep: the regime header, a non-empty [rows] list, and for every
-    row the full column set plus the committed invariants —
-    [bytes_per_flow] and [minor_words_per_event] within the budgets the
-    file carries, zero flow-table and event-queue growth, [leak_free]
-    true, and (rows with [fluid_gated] true) the measured/fluid queue
-    and throughput ratios inside the header's bands. The events/sec
-    floor is wall-clock sensitive and enforced by the bench itself in
-    full mode, not here. Rows with [smoke] true (the N = 10^6 scale
-    probe) are held only to the byte budget and leak-freedom. *)
-
 val parallel_required_fields : string list
 val parallel_single_run_required_fields : string list
-
-val validate_parallel : Json.t -> (unit, string) result
-(** Validate a BENCH_parallel.json parallelism report
-    ([report-check --kind=parallel]): the sequential-vs-parallel sweep
-    comparison fields with [deterministic] true, plus the [single_run]
-    sharded-PDES section — [sharded_deterministic] true, non-empty
-    per-shard-count timing [rows], and a recorded single-run [speedup]
-    no lower than the file's own [min_speedup] floor. A null [speedup]
-    is accepted only when [available_domains] < 4 (the bench skips the
-    ratio rather than commit oversubscription noise). *)
-
-val validate_bench_telemetry : Json.t -> (unit, string) result
-(** Validate a BENCH_telemetry.json overhead report: required fields
-    plus the probe/recorder overhead and allocation budgets the file
-    carries ([report-check --kind=bench-telemetry]). *)
-
-val burst_required_fields : string list
-val burst_row_required_fields : string list
-
-val validate_burst : Json.t -> (unit, string) result
-(** Validate a BENCH_burst.json burstiness-observability report
-    ([report-check --kind=burst]): required fields, then the three
-    committed claims re-checked from the file's own budgets — the
-    {!Burst} aggregator's [burst_minor_words_per_event_delta] within
-    [burst_words_budget], the streaming-vs-offline c.o.v. gap
-    [cov_abs_err] within [cov_tolerance], and in [red_sweep.rows]
-    (which must include both sides) every row's oscillation-detector
-    verdict agreeing with its declared [side] of the RED stability
-    condition. *)
-
 val hybrid_required_fields : string list
 val hybrid_validation_row_required_fields : string list
 val hybrid_converged_required_fields : string list
-
-val validate_hybrid : Json.t -> (unit, string) result
-(** Validate a BENCH_hybrid.json hybrid fluid/packet report
-    ([report-check --kind=hybrid]): required fields, then the three
-    committed claims re-checked from the file's own tolerance bands —
-    every [validation] row's hybrid-vs-packet foreground throughput and
-    combined-queue ratios inside the header bands with the loss-rate
-    gap within [loss_abs_tol] and an [event_ratio] of at least 1; the
-    [converged] N = 10^6 section leak-free with zero slab growth and a
-    [work_ratio] no lower than [work_ratio_min] (null accepted only
-    with [smoke] true — the --fast horizon is too short to measure the
-    ratio honestly); and every [stability_sweep] row's
-    oscillation-detector verdict agreeing with its declared [side] of
-    the fluid Hopf threshold [wq_critical]. *)

@@ -217,7 +217,10 @@ let probe_merge_report_validates () =
   check_float "minor words sum" 15_000. (gauge Probe.m_minor_words);
   check_float "words/event recomputed after merge" 10.
     (gauge Probe.m_words_per_event);
-  match Report.validate (Report.to_json (Report.of_probe ~label:"merged" main)) with
+  match
+    Report.check Report.Telemetry
+      (Report.to_json (Report.of_probe ~label:"merged" main))
+  with
   | Ok () -> ()
   | Error e -> Alcotest.failf "merged report invalid: %s" e
 
@@ -431,19 +434,19 @@ let report_of_probe_validates () =
   Alcotest.(check int) "eq hwm" 42 report.Report.event_queue_hwm;
   check_float "rate" 2000. report.Report.events_per_sec;
   let json = Report.to_json report in
-  (match Report.validate json with
+  (match Report.check Report.Telemetry json with
   | Ok () -> ()
   | Error e -> Alcotest.failf "fresh report invalid: %s" e);
   (* And it survives a print/parse cycle. *)
   match Json.parse (Json.to_string json) with
   | Ok j -> (
-      match Report.validate j with
+      match Report.check Report.Telemetry j with
       | Ok () -> ()
       | Error e -> Alcotest.failf "parsed report invalid: %s" e)
   | Error e -> Alcotest.failf "report does not parse: %s" e
 
 let report_validate_rejects () =
-  (match Report.validate (Json.String "nope") with
+  (match Report.check Report.Telemetry (Json.String "nope") with
   | Ok () -> Alcotest.fail "accepted a non-object"
   | Error _ -> ());
   let probe = Probe.create () in
@@ -453,13 +456,24 @@ let report_validate_rejects () =
       List.iter
         (fun required ->
           let mutilated = Json.Obj (List.remove_assoc required fields) in
-          match Report.validate mutilated with
+          match Report.check Report.Telemetry mutilated with
           | Ok () -> Alcotest.failf "accepted report without %s" required
           | Error msg ->
               Alcotest.(check bool) "error names the field" true
                 (Astring_like.contains msg required))
         Report.required_fields
   | _ -> Alcotest.fail "report is not an object"
+
+(* [expect_error kind name doc needle]: [Report.check kind] rejects
+   [doc] with a message containing [needle]. *)
+let expect_error kind name doc needle =
+  match Report.check kind doc with
+  | Ok () -> Alcotest.failf "accepted %s" name
+  | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
+        true
+        (Astring_like.contains msg needle)
 
 let alloc_row ?(wpe = 5.8) ?(threshold = 6.0) ?(leak_free = true) () =
   Json.Obj
@@ -489,20 +503,12 @@ let alloc_doc rows =
     ]
 
 let report_validate_alloc_accepts () =
-  match Report.validate_alloc (alloc_doc [ alloc_row () ]) with
+  match Report.check Report.Alloc (alloc_doc [ alloc_row () ]) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "rejected a well-formed alloc report: %s" e
 
 let report_validate_alloc_rejects () =
-  let expect_error name doc needle =
-    match Report.validate_alloc doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
-  in
+  let expect_error = expect_error Report.Alloc in
   expect_error "a non-object" (Json.String "nope") "not a JSON object";
   expect_error "empty rows" (alloc_doc []) "rows is empty";
   expect_error "over-budget row"
@@ -520,7 +526,7 @@ let report_validate_alloc_rejects () =
       List.iter
         (fun required ->
           let mutilated = Json.Obj (List.remove_assoc required fields) in
-          match Report.validate_alloc mutilated with
+          match Report.check Report.Alloc mutilated with
           | Ok () -> Alcotest.failf "accepted alloc report without %s" required
           | Error msg ->
               Alcotest.(check bool) "error names the field" true
@@ -578,27 +584,19 @@ let flows_doc rows =
     ]
 
 let report_validate_flows_accepts () =
-  (match Report.validate_flows (flows_doc [ flows_row () ]) with
+  (match Report.check Report.Flows (flows_doc [ flows_row () ]) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "rejected a well-formed flows report: %s" e);
   (* A non-converged row reports its ratios but is not gated on them. *)
   match
-    Report.validate_flows
+    Report.check Report.Flows
       (flows_doc [ flows_row ~fluid_gated:false ~throughput_ratio:0.3 () ])
   with
   | Ok () -> ()
   | Error e -> Alcotest.failf "gated an ungated row's fluid ratio: %s" e
 
 let report_validate_flows_rejects () =
-  let expect_error name doc needle =
-    match Report.validate_flows doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
-  in
+  let expect_error = expect_error Report.Flows in
   expect_error "a non-object" (Json.String "nope") "not a JSON object";
   expect_error "empty rows" (flows_doc []) "rows is empty";
   expect_error "fat row"
@@ -627,7 +625,7 @@ let report_validate_flows_rejects () =
       List.iter
         (fun required ->
           let mutilated = Json.Obj (List.remove_assoc required fields) in
-          match Report.validate_flows mutilated with
+          match Report.check Report.Flows mutilated with
           | Ok () -> Alcotest.failf "accepted flows report without %s" required
           | Error msg ->
               Alcotest.(check bool) "error names the field" true
@@ -639,7 +637,7 @@ let report_validate_flows_rejects () =
       List.iter
         (fun required ->
           let mutilated = Json.Obj (List.remove_assoc required fields) in
-          match Report.validate_flows (flows_doc [ mutilated ]) with
+          match Report.check Report.Flows (flows_doc [ mutilated ]) with
           | Ok () -> Alcotest.failf "accepted flows row without %s" required
           | Error msg ->
               Alcotest.(check bool) "error names the field" true
@@ -648,20 +646,12 @@ let report_validate_flows_rejects () =
   | _ -> Alcotest.fail "flows row is not an object"
 
 let report_validate_flows_smoke_rows () =
-  let expect_error name doc needle =
-    match Report.validate_flows doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
-  in
+  let expect_error = expect_error Report.Flows in
   (* A smoke row (the N = 10^6 scale probe) is far from steady state:
      only the byte budget and leak-freedom bind; words/event, slab
      growth and fluid ratios are reported but not gated. *)
   (match
-     Report.validate_flows
+     Report.check Report.Flows
        (flows_doc
           [
             flows_row ~smoke:true ~fluid_gated:false ~wpe:25.0 ~ft_growths:3
@@ -717,13 +707,13 @@ let parallel_doc ?(deterministic = true)
     ]
 
 let report_validate_parallel_accepts () =
-  (match Report.validate_parallel (parallel_doc ()) with
+  (match Report.check Report.Parallel (parallel_doc ()) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "rejected a well-formed parallel report: %s" e);
   (* On a small machine the single-run ratio is skipped, not faked:
      null speedup is legal only below 4 available domains. *)
   match
-    Report.validate_parallel
+    Report.check Report.Parallel
       (parallel_doc
          ~single_run:
            (parallel_single_run ~available_domains:1 ~speedup:Json.Null ())
@@ -733,15 +723,7 @@ let report_validate_parallel_accepts () =
   | Error e -> Alcotest.failf "rejected a skipped single-run speedup: %s" e
 
 let report_validate_parallel_rejects () =
-  let expect_error name doc needle =
-    match Report.validate_parallel doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
-  in
+  let expect_error = expect_error Report.Parallel in
   expect_error "a non-object" (Json.String "nope") "not a JSON object";
   expect_error "diverged sweep"
     (parallel_doc ~deterministic:false ())
@@ -765,13 +747,13 @@ let report_validate_parallel_rejects () =
        ~single_run:
          (parallel_single_run ~rows:[ Json.Obj [ ("shards", Json.Int 1) ] ] ())
        ())
-    "numeric shards/wall_s";
+    "missing fields: wall_s";
   (match parallel_doc () with
   | Json.Obj fields ->
       List.iter
         (fun required ->
           let mutilated = Json.Obj (List.remove_assoc required fields) in
-          match Report.validate_parallel mutilated with
+          match Report.check Report.Parallel mutilated with
           | Ok () -> Alcotest.failf "accepted parallel report without %s" required
           | Error msg ->
               Alcotest.(check bool) "error names the field" true
@@ -784,7 +766,8 @@ let report_validate_parallel_rejects () =
         (fun required ->
           let mutilated = Json.Obj (List.remove_assoc required fields) in
           match
-            Report.validate_parallel (parallel_doc ~single_run:mutilated ())
+            Report.check Report.Parallel
+              (parallel_doc ~single_run:mutilated ())
           with
           | Ok () ->
               Alcotest.failf "accepted single_run section without %s" required
@@ -818,7 +801,9 @@ let probe_instruments_a_run () =
     Registry.gauge_value (Registry.gauge probe.Probe.registry Probe.m_eq_hwm)
   in
   Alcotest.(check bool) "event-queue hwm positive" true (hwm > 0.);
-  match Report.validate (Report.to_json (Report.of_probe probe)) with
+  match
+    Report.check Report.Telemetry (Report.to_json (Report.of_probe probe))
+  with
   | Ok () -> ()
   | Error e -> Alcotest.failf "run report invalid: %s" e
 
@@ -1153,7 +1138,7 @@ let spans_from_synthetic_records () =
 (* ------------------------------------------------------------------ *)
 (* bench-telemetry report schema *)
 
-let bench_tel_doc ?(drop = "") ?(recorder_overhead = 2.0) ?(words = 0.01)
+let bench_tel_doc ?(drop = "") ?(probe_overhead = 1.0) ?(recorder_overhead = 2.0) ?(words = 0.01)
     ?(records = 6509) () =
   let fields =
     [
@@ -1165,7 +1150,7 @@ let bench_tel_doc ?(drop = "") ?(recorder_overhead = 2.0) ?(words = 0.01)
       ("recorded_events_per_sec", Json.Float 2.8e6);
       ("probed_run_s", Json.Float 0.02);
       ("recorded_run_s", Json.Float 0.0205);
-      ("probe_overhead_pct", Json.Float 1.0);
+      ("probe_overhead_pct", Json.Float probe_overhead);
       ("probe_overhead_budget_pct", Json.Float 15.0);
       ("recorder_overhead_pct", Json.Float recorder_overhead);
       ("recorder_overhead_budget_pct", Json.Float 8.0);
@@ -1178,20 +1163,12 @@ let bench_tel_doc ?(drop = "") ?(recorder_overhead = 2.0) ?(words = 0.01)
   Json.Obj (List.filter (fun (k, _) -> k <> drop) fields)
 
 let report_validate_bench_telemetry_accepts () =
-  match Report.validate_bench_telemetry (bench_tel_doc ()) with
+  match Report.check Report.Bench_telemetry (bench_tel_doc ()) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "rejected a well-formed report: %s" e
 
 let report_validate_bench_telemetry_rejects () =
-  let expect_error name doc needle =
-    match Report.validate_bench_telemetry doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
-  in
+  let expect_error = expect_error Report.Bench_telemetry in
   expect_error "a non-object" (Json.String "nope") "not a JSON object";
   expect_error "a missing field"
     (bench_tel_doc ~drop:"recorder_overhead_pct" ())
@@ -1203,7 +1180,10 @@ let report_validate_bench_telemetry_rejects () =
     (bench_tel_doc ~words:0.5 ())
     "words/event delta";
   expect_error "a silent recorder" (bench_tel_doc ~records:0 ())
-    "recorder_records is zero"
+    "recorder_records 0 is not positive";
+  expect_error "probe overhead above budget"
+    (bench_tel_doc ~probe_overhead:20. ())
+    "probe overhead pct 20 exceeds budget 15"
 
 (* ------------------------------------------------------------------ *)
 (* Burst: the streaming multi-timescale aggregator *)
@@ -1456,20 +1436,12 @@ let burst_doc ?(drop = "") ?(delta = -0.004) ?(cov_err = 0.) ?rows () =
   Json.Obj (List.filter (fun (k, _) -> k <> drop) fields)
 
 let report_validate_burst_accepts () =
-  match Report.validate_burst (burst_doc ()) with
+  match Report.check Report.Burst (burst_doc ()) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "rejected a well-formed burst report: %s" e
 
 let report_validate_burst_rejects () =
-  let expect_error name doc needle =
-    match Report.validate_burst doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
-  in
+  let expect_error = expect_error Report.Burst in
   expect_error "a non-object" (Json.String "nope") "not a JSON object";
   expect_error "a missing field"
     (burst_doc ~drop:"cov_abs_err" ())
@@ -1600,13 +1572,13 @@ let hybrid_doc ?(drop = "") ?rows ?converged ?sweep_rows
   Json.Obj (List.filter (fun (k, _) -> k <> drop) fields)
 
 let report_validate_hybrid_accepts () =
-  (match Report.validate_hybrid (hybrid_doc ()) with
+  (match Report.check Report.Hybrid (hybrid_doc ()) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "rejected a well-formed hybrid report: %s" e);
   (* A smoke-mode converged row may carry a null work ratio: the pure
      packet reference at N = 10^6 is only run in full mode. *)
   match
-    Report.validate_hybrid
+    Report.check Report.Hybrid
       (hybrid_doc
          ~converged:(hybrid_converged ~smoke:true ~work_ratio:Json.Null ())
          ())
@@ -1615,15 +1587,7 @@ let report_validate_hybrid_accepts () =
   | Error e -> Alcotest.failf "rejected a smoke converged row: %s" e
 
 let report_validate_hybrid_rejects () =
-  let expect_error name doc needle =
-    match Report.validate_hybrid doc with
-    | Ok () -> Alcotest.failf "accepted %s" name
-    | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s error mentions %s (got: %s)" name needle msg)
-          true
-          (Astring_like.contains msg needle)
-  in
+  let expect_error = expect_error Report.Hybrid in
   expect_error "a non-object" (Json.String "nope") "not a JSON object";
   List.iter
     (fun f -> expect_error ("dropping " ^ f) (hybrid_doc ~drop:f ()) f)
