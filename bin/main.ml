@@ -113,7 +113,11 @@ let tele_term =
   let trace_out =
     let doc =
       "Write every simulation event (packet, TCP congestion decision, RED \
-       queue decision) as one NDJSON line to $(docv)."
+       queue decision) as one NDJSON line to $(docv). The file is decoded \
+       from a flight recording of each run — the parity events only, or \
+       the parity view of the fuller --record-out stream when that is \
+       given (which adds drop-tail and SFQ gateway drops) — so it is the \
+       same for every --jobs and --shards value."
     in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
@@ -122,8 +126,8 @@ let tele_term =
       "Record every simulation event plus lifecycle records (congestion \
        phases, RTT samples, receiver reordering, run markers) in the binary \
        flight-recorder format to $(docv); query the file with the 'trace \
-       decode/stats/grep/spans' subcommands. Unlike --trace-out the recorder \
-       is allocation-free on the hot path and works with --jobs > 1."
+       decode/stats/grep/spans' subcommands. The recorder is allocation-free \
+       on the hot path and composes with --jobs and --shards."
     in
     Arg.(
       value & opt (some string) None & info [ "record-out" ] ~docv:"FILE" ~doc)
@@ -152,34 +156,19 @@ let with_jobs ~jobs f =
   if jobs <= 1 then f None
   else Parallel.Pool.with_pool ~domains:jobs (fun pool -> f (Some pool))
 
-(* Build the probe + sinks a subcommand asked for, run [f probe notify]
-   under the "total" phase, emit the report, and return [f]'s result.
-   [notify] is the after-each-run hook; it feeds the progress reporter. *)
 let open_sink path =
   try open_out path
   with Sys_error msg ->
     Format.eprintf "burstsim: cannot open %s@." msg;
     exit 1
 
-(* Decode the parity records of the accumulated flight-recorder segments
-   back into the NDJSON stream the live bus tracer would have produced —
-   the --trace-out path under --jobs > 1, where no single ordered bus
-   stream exists during the run. *)
-let decode_segments_to_ndjson probe oc =
-  List.iter
-    (fun r ->
-      let interns = Telemetry.Recorder.intern_array r in
-      let lookup i =
-        if i >= 0 && i < Array.length interns then interns.(i)
-        else Printf.sprintf "?%d" i
-      in
-      Telemetry.Recorder.iter_merged r (fun ~lane:_ ~seq:_ words off ->
-          match Telemetry.Record.event_of_record ~lookup words off with
-          | Some e -> Telemetry.Event_bus.ndjson_writer oc e
-          | None -> ()))
-    (Telemetry.Probe.segments probe)
-
-let with_telemetry ~label ?(total_runs = 0) ?(jobs = 1) opts f =
+(* Build the probe + sinks a subcommand asked for, run [f probe notify]
+   under the "total" phase, emit the report, and return [f]'s result.
+   [notify] is the after-each-run hook; it decodes the finished run's
+   recording and feeds the progress reporter. [on_event], when given,
+   receives every decoded event of every run (the ns-style [trace]
+   output) and turns recording on like --trace-out does. *)
+let with_telemetry ~label ?(total_runs = 0) ?(jobs = 1) ?on_event opts f =
   (match (opts.record_out, opts.trace_out) with
   | Some r, Some t when r = t ->
       Format.eprintf
@@ -188,37 +177,49 @@ let with_telemetry ~label ?(total_runs = 0) ?(jobs = 1) opts f =
   | _ -> ());
   if
     opts.report_out = None && opts.trace_out = None && opts.record_out = None
-    && opts.burst_out = None
+    && opts.burst_out = None && on_event = None
     && not opts.want_progress
   then f None (fun (_ : string) -> ())
   else begin
     let probe = Telemetry.Probe.create () in
     if opts.burst_out <> None then
       Telemetry.Probe.set_burst probe (Some Telemetry.Burst.default_config);
-    (* --record-out captures the full lifecycle stream; --trace-out under
-       --jobs > 1 records parity events per domain instead of streaming
-       from the bus, then decodes them at the end so the file stays
-       byte-identical to a sequential run's. *)
+    (* --record-out captures the full lifecycle stream; a text trace on
+       its own records the parity kinds only. *)
+    let decode = opts.trace_out <> None || on_event <> None in
     (match opts.record_out with
     | Some _ ->
         Telemetry.Probe.set_recording probe Telemetry.Recorder.default_config
     | None ->
-        if opts.trace_out <> None && jobs > 1 then
+        if decode then
           Telemetry.Probe.set_recording probe
             { Telemetry.Recorder.default_config with lifecycle = false });
     let trace_oc = Option.map open_sink opts.trace_out in
-    (match trace_oc with
-    | Some oc when jobs <= 1 ->
-        ignore
-          (Telemetry.Event_bus.subscribe probe.Telemetry.Probe.bus
-             (Telemetry.Event_bus.ndjson_writer oc))
-    | Some _ | None -> ());
+    (* Decode each finished segment into the text traces, then keep it
+       only if --record-out still has to write it. *)
+    let kept = ref [] in
+    let drain () =
+      List.iter
+        (fun r ->
+          if decode then
+            Telemetry.Recorder.iter_events r (fun e ->
+                Option.iter (fun oc -> Telemetry.Event_bus.ndjson_writer oc e)
+                  trace_oc;
+                Option.iter (fun g -> g e) on_event);
+          if opts.record_out <> None then kept := r :: !kept)
+        (Telemetry.Probe.take_segments probe)
+    in
     let reporter =
       if opts.want_progress && total_runs > 0 then
         Some (Telemetry.Progress.create ~total:total_runs ())
       else None
     in
     let notify point =
+      (* A sequential run's segment is decoded as soon as the run ends,
+         so memory holds one run's records. Parallel workers call this
+         concurrently, and their segments reach the probe only when the
+         sweep merges them: those are decoded once [f] returns. *)
+      if jobs <= 1 then drain ();
       match reporter with
       | Some r ->
           Telemetry.Progress.step r
@@ -234,9 +235,7 @@ let with_telemetry ~label ?(total_runs = 0) ?(jobs = 1) opts f =
             Telemetry.Probe.time (Some probe) "total" (fun () ->
                 f (Some probe) notify)
           in
-          (match trace_oc with
-          | Some oc when jobs > 1 -> decode_segments_to_ndjson probe oc
-          | Some _ | None -> ());
+          drain ();
           result)
     in
     (match reporter with Some r -> Telemetry.Progress.finish r | None -> ());
@@ -245,7 +244,8 @@ let with_telemetry ~label ?(total_runs = 0) ?(jobs = 1) opts f =
         let oc = open_sink path in
         Fun.protect
           ~finally:(fun () -> close_out oc)
-          (fun () -> Telemetry.Probe.write_segments probe oc);
+          (fun () ->
+            List.iter (Telemetry.Recorder.write_segment oc) (List.rev !kept));
         Format.eprintf "wrote flight recording to %s@." path
     | None -> ());
     let report = Telemetry.Report.of_probe ~label probe in
@@ -432,8 +432,10 @@ let run_cmd =
       "Parallelise this single run over $(docv) domains with the sharded \
        conservative-PDES engine. Results are bit-identical for every \
        $(docv) >= 1 with the same seed; 0 (the default) runs the classic \
-       single-domain engine. Composes with --trace-out (shard traces are \
-       merged into one deterministic stream) but not with --record-out."
+       single-domain engine. Composes with --trace-out and --record-out: \
+       the hub and every shard record into their own lanes, merged into \
+       one canonical order at the end of the run, so the trace is the \
+       same at every $(docv) >= 1."
     in
     Arg.(value & opt int 0 & info [ "shards" ] ~docv:"K" ~doc)
   in
@@ -461,14 +463,6 @@ let run_cmd =
     let clients = Option.value ~default:clients foreground in
     if shards < 0 then begin
       Format.eprintf "burstsim: --shards must be >= 0 (got %d)@." shards;
-      exit 1
-    end;
-    if shards > 0 && tele.record_out <> None then begin
-      Format.eprintf
-        "burstsim: --record-out needs the classic single-domain engine and \
-         cannot be combined with --shards; drop --shards, or use --trace-out \
-         (its NDJSON stream is merged deterministically across shard \
-         domains)@.";
       exit 1
     end;
     if background < 0 then begin
@@ -577,9 +571,10 @@ let trace_decode_cmd =
   Cmd.v
     (Cmd.info "decode"
        ~doc:
-         "Decode a flight recording to NDJSON, one event per line. For a \
-          recording made by --trace-out under --jobs > 1 semantics, parity \
-          events serialize byte-identically to the live tracer's output.")
+         "Decode a flight recording to NDJSON, one event per line. Parity \
+          events serialize exactly as --trace-out writes them; lifecycle \
+          records add phase, RTT, receiver, router, run and summary \
+          lines.")
     Term.(const run $ recording_pos $ query_out)
 
 let trace_stats_cmd =
@@ -732,29 +727,31 @@ let trace_cmd =
     let cfg =
       Burstcore.Config.with_clients (base_config ~duration ~seed ~fast) clients
     in
-    let tracer = Netsim.Tracer.create () in
+    let oc = match out with Some path -> open_sink path | None -> stdout in
+    (* The ns-style lines are the bottleneck's decoded packet events. *)
+    let lines = ref 0 in
+    let on_event = function
+      | Telemetry.Event_bus.Packet { link = "bottleneck"; _ } as e ->
+          Option.iter
+            (fun line ->
+              output_string oc (line ^ "\n");
+              incr lines)
+            (Telemetry.Event_bus.ns_line e)
+      | _ -> ()
+    in
     let m =
       with_telemetry ~label:(Burstcore.Scenario.label scenario) ~total_runs:1
-        tele (fun probe notify ->
-          let m =
-            Burstcore.Run.run ?probe
-              ~prepare:(fun net ->
-                Netsim.Tracer.attach tracer (Burstcore.Dumbbell.pool net)
-                  (Burstcore.Dumbbell.bottleneck net))
-              cfg scenario
-          in
+        ~on_event tele (fun probe notify ->
+          let m = Burstcore.Run.run ?probe cfg scenario in
           notify
             (Printf.sprintf "%s n=%d" (Burstcore.Scenario.label scenario) clients);
           m)
     in
     (match out with
     | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> Netsim.Tracer.output tracer oc);
-        Format.eprintf "wrote %d events to %s@." (Netsim.Tracer.length tracer) path
-    | None -> Netsim.Tracer.output tracer stdout);
+        close_out oc;
+        Format.eprintf "wrote %d events to %s@." !lines path
+    | None -> flush oc);
     write_burst_out tele [ m ];
     Format.eprintf "%a@." Burstcore.Metrics.pp_row m
   in

@@ -1,11 +1,11 @@
 (* A results pipeline: run an experiment, inspect the packet trace, and
    export machine-readable output.
 
-   Demonstrates the instrumentation surface of the library: the [prepare]
-   hook for attaching an ns-style tracer to the bottleneck, trace
-   analysis (per-flow arrivals/drops, delivered bytes), and the JSON/CSV
-   exporters whose documents embed the full configuration for exact
-   reproduction.
+   Demonstrates the instrumentation surface of the library: a probe
+   that flight-records the run, trace analysis over the decoded
+   bottleneck packet events (per-flow drops, delivered bytes), and the
+   JSON/CSV exporters whose documents embed the full configuration for
+   exact reproduction.
 
    Run with: dune exec examples/results_pipeline.exe *)
 
@@ -17,19 +17,32 @@ let () =
       warmup_s = 10.;
     }
   in
-  let tracer = Netsim.Tracer.create () in
-  let metrics =
-    Burstcore.Run.run
-      ~prepare:(fun net ->
-        Netsim.Tracer.attach tracer (Burstcore.Dumbbell.pool net)
-                  (Burstcore.Dumbbell.bottleneck net))
-      cfg Burstcore.Scenario.reno
-  in
+  (* Parity-only recording: exactly the events a --trace-out file holds. *)
+  let probe = Telemetry.Probe.create () in
+  Telemetry.Probe.set_recording probe
+    { Telemetry.Recorder.default_config with lifecycle = false };
+  let metrics = Burstcore.Run.run ~probe cfg Burstcore.Scenario.reno in
   Format.printf "run: %a@.@." Burstcore.Metrics.pp_row metrics;
 
   (* --- trace analysis ------------------------------------------- *)
-  Format.printf "trace: %d events on the bottleneck@." (Netsim.Tracer.length tracer);
-  let drops = Netsim.Tracer.per_flow_counts tracer Netsim.Tracer.Drop in
+  let events = ref 0 and bytes = ref 0 in
+  let drops = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      Telemetry.Recorder.iter_events r (function
+        | Telemetry.Event_bus.Packet p when p.link = "bottleneck" -> (
+            incr events;
+            match p.kind with
+            | Telemetry.Event_bus.Drop ->
+                Hashtbl.replace drops p.flow
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt drops p.flow))
+            | Telemetry.Event_bus.Depart
+              when p.time >= 10. && p.time < cfg.Burstcore.Config.duration_s ->
+                bytes := !bytes + p.size_bytes
+            | _ -> ())
+        | _ -> ()))
+    (Telemetry.Probe.segments probe);
+  Format.printf "trace: %d events on the bottleneck@." !events;
   let victims =
     Hashtbl.fold (fun flow n acc -> (flow, n) :: acc) drops []
     |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
@@ -40,12 +53,8 @@ let () =
     (fun i (flow, n) ->
       if i < 5 then Format.printf "  client %-3d lost %d packets@." (flow + 1) n)
     victims;
-  let bytes =
-    Netsim.Tracer.delivered_bytes_between tracer ~link:"bottleneck" 10.
-      cfg.Burstcore.Config.duration_s
-  in
   Format.printf "bytes through the bottleneck after warm-up: %.1f MB@.@."
-    (float_of_int bytes /. 1e6);
+    (float_of_int !bytes /. 1e6);
 
   (* --- machine-readable export ----------------------------------- *)
   let doc =

@@ -60,9 +60,9 @@ let red_params cfg ~ecn_mark ~adaptive =
     adaptive;
   }
 
-let gateway_queue ?bus ?recorder cfg scenario rng pool =
+let gateway_queue ?recorder cfg scenario rng pool =
   let red ~ecn_mark ~adaptive =
-    Queue_disc.red ?bus ?recorder ~name:"gateway"
+    Queue_disc.red ?recorder ~name:"gateway"
       ~rng:(Rng.split_named rng "red-gateway")
       ~pool
       (red_params cfg ~ecn_mark ~adaptive)
@@ -74,16 +74,17 @@ let gateway_queue ?bus ?recorder cfg scenario rng pool =
   | Scenario.Red_adaptive -> red ~ecn_mark:false ~adaptive:true
   | Scenario.Sfq_gw -> Queue_disc.sfq ~pool ~capacity:cfg.Config.buffer_packets ()
 
-let create ?bus ?recorder ?(trace_clients = []) cfg scenario =
+let create ?recorder ?(trace_clients = []) cfg scenario =
   Config.validate cfg;
-  (* Lifecycle-only recorder hooks (queue-discipline drops, router
-     retransmit forwards, receiver reordering) stay unwired in parity
-     mode so the binary stream decodes byte-identical to the live
-     tracer. TCP senders always get the recorder: their records are the
-     binary twins of the bus events. *)
-  let lifecycle_recorder =
+  (* The whole topology records into lane 0, resolved once here. The RED
+     gateway and the TCP senders always get it: their records are parity
+     kinds. Lifecycle-only sites (drop-tail/SFQ gateway drops, router
+     retransmit forwards) stay unwired in parity mode; receivers check
+     the mode themselves. *)
+  let lane = Option.map (fun r -> Telemetry.Recorder.lane r 0) recorder in
+  let lifecycle_lane =
     match recorder with
-    | Some r when Telemetry.Recorder.lifecycle r -> Some r
+    | Some r when Telemetry.Recorder.lifecycle r -> lane
     | _ -> None
   in
   let n = cfg.Config.clients in
@@ -99,7 +100,7 @@ let create ?bus ?recorder ?(trace_clients = []) cfg scenario =
   let sched = Scheduler.create ~queue_capacity () in
   let rng = Rng.create ~seed:cfg.Config.seed in
   let pool = Packet_pool.create () in
-  let router = Router.create ?recorder:lifecycle_recorder ~name:"gateway" ~pool () in
+  let router = Router.create ?recorder:lifecycle_lane ~name:"gateway" ~pool () in
   let server = Node.create ~id:server_id ~pool in
   let client_nodes = Array.init n (fun i -> Node.create ~id:(client_id i) ~pool) in
   let client_bw = Units.mbps cfg.Config.client_bandwidth_mbps in
@@ -120,10 +121,8 @@ let create ?bus ?recorder ?(trace_clients = []) cfg scenario =
     end
   in
   let bottleneck_delay = Time.of_sec cfg.Config.bottleneck_delay_s in
-  let gateway_queue =
-    gateway_queue ?bus ?recorder:lifecycle_recorder cfg scenario rng pool
-  in
-  (match lifecycle_recorder with
+  let gateway_queue = gateway_queue ?recorder:lane cfg scenario rng pool in
+  (match lifecycle_lane with
   | Some recorder ->
       Queue_disc.set_recorder gateway_queue ~recorder ~pool ~name:"gateway"
   | None -> ());
@@ -174,14 +173,14 @@ let create ?bus ?recorder ?(trace_clients = []) cfg scenario =
         let sender_group =
           Transport.Tcp_sender.create_group ~ecn_capable ~sack
             ~cwnd_validation:cfg.Config.cwnd_validation
-            ~pacing:cfg.Config.pacing ?bus ?recorder ?vegas ~capacity:n sched
+            ~pacing:cfg.Config.pacing ?recorder:lane ?vegas ~capacity:n sched
             ~pool ~cc:variant ~rto_params:cfg.Config.rto
             ~mss_bytes:cfg.Config.packet_bytes
             ~adv_window:cfg.Config.adv_window
             ~transmit:(fun ~flow p -> Link.send up_links.(flow) p)
         in
         let receiver_group =
-          Transport.Tcp_receiver.create_group ~sack ?recorder ~capacity:n
+          Transport.Tcp_receiver.create_group ~sack ?recorder:lane ~capacity:n
             sched ~pool ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack
             ~adv_window:cfg.Config.adv_window
             ~transmit:(fun ~flow:_ p -> Link.send reverse_bottleneck p)

@@ -9,19 +9,18 @@
 type t
 
 val create :
-  ?bus:Telemetry.Event_bus.t ->
   ?recorder:Telemetry.Recorder.t ->
   ?trace_clients:int list ->
   Config.t ->
   Scenario.t ->
   t
 (** Fresh scheduler, RNG streams, packet pool, topology and transports.
-    When [bus] is given it is wired into the RED gateway queue (as
-    ["gateway"]) and every TCP sender, so queue-discipline decisions and
-    congestion reactions publish there. When [recorder] is given, TCP
-    senders log congestion decisions to it; if the recorder is in
-    lifecycle mode, the gateway queue discipline, router and receivers
-    are wired too (drops, retransmit forwards, reordering).
+    When [recorder] is given, the RED gateway queue (as ["gateway"])
+    and every TCP sender record their decisions into its lane 0; if the
+    recorder is in lifecycle mode, the drop-tail/SFQ gateway, router and
+    receivers are wired too (drops, retransmit forwards, reordering).
+    The bottleneck link's own packet records are wired by the caller
+    ({!Netsim.Link.record}).
     [trace_clients] (default none) lists client indices whose senders
     record a congestion-window trace; tracing costs boxed floats per
     ACK, so it is opt-in. *)
@@ -34,15 +33,15 @@ val make_cc :
     shared with the sharded {!Pdes} builder. *)
 
 val gateway_queue :
-  ?bus:Telemetry.Event_bus.t ->
-  ?recorder:Telemetry.Recorder.t ->
+  ?recorder:Telemetry.Recorder.lane ->
   Config.t ->
   Scenario.t ->
   Sim_engine.Rng.t ->
   Netsim.Packet_pool.t ->
   Netsim.Queue_disc.t
 (** Build the scenario's gateway queue discipline (RED splits
-    ["red-gateway"] off the given master RNG) — shared with {!Pdes}. *)
+    ["red-gateway"] off the given master RNG, and records its decisions
+    into [recorder] when given) — shared with {!Pdes}. *)
 
 val scheduler : t -> Sim_engine.Scheduler.t
 

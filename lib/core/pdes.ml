@@ -6,7 +6,7 @@ module Units = Netsim.Units
 module Queue_disc = Netsim.Queue_disc
 module Packet_pool = Netsim.Packet_pool
 module Team = Parallel.Pool.Team
-module EB = Telemetry.Event_bus
+module Recorder = Telemetry.Recorder
 
 (* Sharded conservative PDES over the paper's dumbbell.
 
@@ -36,8 +36,10 @@ module EB = Telemetry.Event_bus
    a total order independent of K. Uids come from per-flow counters
    ({!Packet_pool.set_uid_source}) so they do not leak cross-flow
    allocation interleaving, and every RNG stream is split by name from
-   the run seed exactly as the classic engine does. Event-bus traces are
-   buffered per domain and replayed in canonical (time, line) order. *)
+   the run seed exactly as the classic engine does. The flight recorder
+   gives the hub lane 0 and shard [s] lane [s + 1]; at the end of the run
+   the lanes merge into one canonical (tick, decoded line) order, so the
+   recording is K-invariant too. *)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-domain packet batches *)
@@ -153,7 +155,6 @@ type shard = {
   receivers : Transport.Tcp_receiver.t array;
   out : Msgs.t; (* to the hub; drained by rank 0 between windows *)
   mutable sources : Traffic.Source.t array;
-  events : EB.event list ref; (* tracing buffer, newest first *)
 }
 
 type hub = {
@@ -163,7 +164,6 @@ type hub = {
   reverse : Link.t; (* delay 0; deliver routes into [hout] *)
   gateway : Queue_disc.t;
   hout : Msgs.t array; (* one ring per destination shard *)
-  hevents : EB.event list ref;
 }
 
 (* A destination's import side: R rotating frozen batches (a message
@@ -267,13 +267,26 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
   let n = cfg.Config.clients in
   let shards_n = Stdlib.min cfg.Config.shards n in
   let time name f = Telemetry.Probe.time probe name f in
-  let tracing =
-    match probe with
-    | Some p when EB.has_subscribers p.Telemetry.Probe.bus -> true
-    | Some _ | None -> false
-  in
   let run_label =
     Printf.sprintf "%s n=%d shards=%d" (Scenario.label scenario) n shards_n
+  in
+  (* One recorder = one segment per run, as in the classic engine. Every
+     lane and interned name is created during setup, before any domain
+     starts, so each domain only ever writes its own lane. Run markers
+     and summaries carry the classic engine's K-free label. *)
+  let recorder =
+    match probe with
+    | Some p -> Telemetry.Probe.start_recorder p ~label:run_label
+    | None -> None
+  in
+  let lane id = Option.map (fun r -> Recorder.lane r id) recorder in
+  let hlane = lane 0 in
+  let lifecycle_hub =
+    match (recorder, hlane) with
+    | Some r, Some l when Recorder.lifecycle r ->
+        let label = Printf.sprintf "%s n=%d" (Scenario.label scenario) n in
+        Some (l, Recorder.intern r label)
+    | _ -> None
   in
   let horizon = Time.of_sec cfg.Config.duration_s in
   let wspan = Stdlib.max 1 (Time.to_ns (Time.of_sec (window_s cfg))) in
@@ -337,15 +350,15 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
             ()
         in
         let hpool = Packet_pool.create () in
-        let hbus = if tracing then Some (EB.create ()) else None in
-        let hevents = ref [] in
-        (match hbus with
-        | Some b -> ignore (EB.subscribe b (fun e -> hevents := e :: !hevents))
-        | None -> ());
         let hrng = Rng.create ~seed:cfg.Config.seed in
         let gateway =
-          Dumbbell.gateway_queue ?bus:hbus cfg scenario hrng hpool
+          Dumbbell.gateway_queue ?recorder:hlane cfg scenario hrng hpool
         in
+        (match lifecycle_hub with
+        | Some (l, _) ->
+            Queue_disc.set_recorder gateway ~recorder:l ~pool:hpool
+              ~name:"gateway"
+        | None -> ());
         let hout = Array.init shards_n (fun _ -> Msgs.create ()) in
         let bottleneck =
           Link.create hsched ~name:"bottleneck" ~bandwidth:bottleneck_bw
@@ -372,10 +385,8 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
             Msgs.ship hout.(shard_of.(flow)) hpool
               (Time.add arrival delays.(flow))
               h);
-        (match hbus with
-        | Some b -> Link.publish bottleneck b
-        | None -> ());
-        let hub = { hsched; hpool; bottleneck; reverse; gateway; hout; hevents } in
+        Option.iter (Link.record bottleneck) hlane;
+        let hub = { hsched; hpool; bottleneck; reverse; gateway; hout } in
         (* --- shards ---------------------------------------------- *)
         let ecn_capable = scenario.Scenario.gateway = Scenario.Red_ecn in
         let sack = cc = Scenario.Sack in
@@ -392,12 +403,7 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
               in
               let pool = Packet_pool.create () in
               Packet_pool.set_uid_source pool (Some uid_source);
-              let bus = if tracing then Some (EB.create ()) else None in
-              let events = ref [] in
-              (match bus with
-              | Some b ->
-                  ignore (EB.subscribe b (fun e -> events := e :: !events))
-              | None -> ());
+              let slane = lane (s + 1) in
               let out = Msgs.create () in
               let up_links =
                 Array.init n_local (fun j ->
@@ -417,7 +423,8 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
               let sender_group =
                 Transport.Tcp_sender.create_group ~ecn_capable ~sack
                   ~cwnd_validation:cfg.Config.cwnd_validation
-                  ~pacing:cfg.Config.pacing ?bus ?vegas ~capacity:n_local sched
+                  ~pacing:cfg.Config.pacing ?recorder:slane ?vegas
+                  ~capacity:n_local sched
                   ~pool ~cc:variant ~rto_params:cfg.Config.rto
                   ~mss_bytes:cfg.Config.packet_bytes
                   ~adv_window:cfg.Config.adv_window
@@ -427,7 +434,8 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
                  bottleneck; that crossing's propagation is pre-applied
                  here so the hub half can serialize with zero delay. *)
               let receiver_group =
-                Transport.Tcp_receiver.create_group ~sack ~capacity:n_local
+                Transport.Tcp_receiver.create_group ~sack ?recorder:slane
+                  ~capacity:n_local
                   sched ~pool ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack
                   ~adv_window:cfg.Config.adv_window
                   ~transmit:(fun ~flow:_ p ->
@@ -472,7 +480,6 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
                 receivers;
                 out;
                 sources = [||];
-                events;
               })
         in
         (* Poisson sources, per-client named streams as in the classic
@@ -669,6 +676,11 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
     | None -> [||]
   in
   let gc_by_rank = Array.make shards_n Telemetry.Perf.gc_zero in
+  (match lifecycle_hub with
+  | Some (l, sid) ->
+      Recorder.record l ~tick:0 ~kind:Telemetry.Record.run_start ~flow:(-1)
+        ~a:0 ~b:0 ~c:0 ~sid ~depth:0
+  | None -> ());
   let run_wall, run_gc =
     let t0 = Telemetry.Perf.wall_clock_s () in
     Team.with_team ~domains:shards_n (fun team ->
@@ -714,29 +726,6 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
     | None -> ());
     (dt, gc)
   in
-  (* Replay buffered domain traces into the probe bus in canonical
-     (time, serialized line) order — a total order over the run's event
-     multiset that no sharding can perturb. *)
-  (match probe with
-  | Some p when tracing ->
-      time "trace-merge" (fun () ->
-          let all =
-            Array.fold_left
-              (fun acc sh -> List.rev_append !(sh.events) acc)
-              (List.rev !(hub.hevents))
-              shards
-          in
-          let tagged =
-            Array.of_list (List.rev_map (fun e -> (EB.time e, EB.to_ndjson e, e)) all)
-          in
-          Array.sort
-            (fun (ta, la, _) (tb, lb, _) ->
-              if ta <> tb then compare ta tb else compare la lb)
-            tagged;
-          Array.iter
-            (fun (_, _, e) -> EB.publish p.Telemetry.Probe.bus e)
-            tagged)
-  | Some _ | None -> ());
   (* Reclaim and leak-check every pool: shard access links, then the hub
      links. Messages still sitting in cross-domain rings were freed when
      shipped, so a clean run drains to zero everywhere. *)
@@ -884,6 +873,12 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
           hybrid = Option.map Hybrid.summary hybrid;
         })
   in
+  let events =
+    Scheduler.events_processed hub.hsched
+    + Array.fold_left
+        (fun acc sh -> acc + Scheduler.events_processed sh.sched)
+        0 shards
+  in
   (match (probe, metrics.Metrics.burst) with
   | Some p, Some s ->
       Telemetry.Burst.export p.Telemetry.Probe.registry ~run:run_label s
@@ -892,6 +887,28 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
   | Some p, Some s ->
       Hybrid.export p.Telemetry.Probe.registry ~run:run_label s
   | _ -> ());
+  (* The hub closes the recording: run-end marker and summaries (once,
+     whatever K), then the canonical merge of every lane, then the
+     lifecycle spans over the merged stream. *)
+  (match lifecycle_hub with
+  | Some (l, sid) ->
+      let tick = Time.to_ns horizon in
+      Recorder.record l ~tick ~kind:Telemetry.Record.run_end ~flow:(-1)
+        ~a:events ~b:0 ~c:0 ~sid ~depth:0;
+      Option.iter
+        (Telemetry.Burst.record_summary l ~tick ~sid)
+        metrics.Metrics.burst;
+      Option.iter (Hybrid.record_summary l ~tick ~sid) metrics.Metrics.hybrid
+  | None -> ());
+  (match recorder with
+  | Some r ->
+      time "record-merge" (fun () -> Recorder.merge_canonical r);
+      (match probe with
+      | Some p when Recorder.lifecycle r ->
+          time "spans" (fun () ->
+              Telemetry.Spans.of_recorder ~registry:p.Telemetry.Probe.registry r)
+      | _ -> ())
+  | None -> ());
   (match probe with
   | Some p ->
       (* Shard-side telemetry rides worker probes through the sweep-
@@ -910,12 +927,6 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
             c;
           Telemetry.Probe.merge ~into:p wp)
         worker_probes;
-      let events =
-        Scheduler.events_processed hub.hsched
-        + Array.fold_left
-            (fun acc sh -> acc + Scheduler.events_processed sh.sched)
-            0 shards
-      in
       let eq_hwm =
         Array.fold_left
           (fun acc sh -> Stdlib.max acc (Scheduler.queue_high_water_mark sh.sched))

@@ -33,7 +33,17 @@ val run :
   Metrics.t
 (** Like {!Run.run} but sharded over [cfg.shards] domains (clamped to
     the client count; rank 0 simulates shard 0 and the hub, so
-    [cfg.shards = K] uses [K] domains in total). Restrictions: TCP
-    scenarios only, and flight recording ([Probe.set_recording]) is not
-    supported — use the event-bus trace instead.
+    [cfg.shards = K] uses [K] domains in total). TCP scenarios only.
+
+    Flight recording ([Probe.set_recording]) gives the hub lane 0 and
+    shard [s] lane [s + 1]; at the end of the run the lanes merge into
+    one canonical order ({!Telemetry.Recorder.merge_canonical}), so the
+    segment decodes identically at every shard count when nothing was
+    dropped. It holds the parity kinds (bottleneck packets, gateway
+    queue decisions, TCP congestion decisions) and, in lifecycle mode,
+    the per-flow TCP phase/RTT and receiver reorder/duplicate records,
+    drop-tail/SFQ gateway drops, one run-start/run-end marker pair and
+    the burst/hybrid summaries, written from the hub under the classic
+    engine's K-free run label. Router retransmit forwards have no site:
+    the hub routes packets without a {!Netsim.Router}.
     @raise Invalid_argument on [cfg.shards < 1] or a UDP scenario. *)

@@ -35,8 +35,8 @@ let enable_avg t ~w_q =
 let avg t = if t.ewma.(1) > 0. then Some t.ewma.(0) else None
 
 let set_recorder t ~recorder ~pool ~name =
-  t.rlane <- Some (Telemetry.Recorder.lane recorder 0);
-  t.rsid <- Telemetry.Recorder.intern recorder name;
+  t.rlane <- Some recorder;
+  t.rsid <- Telemetry.Recorder.intern (Telemetry.Recorder.owner recorder) name;
   t.rpool <- Some pool
 
 let record_drop t now h =

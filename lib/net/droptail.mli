@@ -9,8 +9,12 @@ val create : capacity:int -> t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
 val set_recorder :
-  t -> recorder:Telemetry.Recorder.t -> pool:Packet_pool.t -> name:string -> unit
-(** Wire a flight recorder: forced-drop decisions write a
+  t ->
+  recorder:Telemetry.Recorder.lane ->
+  pool:Packet_pool.t ->
+  name:string ->
+  unit
+(** Wire a flight-recorder lane: forced-drop decisions write a
     [queue_forced_drop] record tagged with [name], carrying the
     instantaneous queue length. *)
 

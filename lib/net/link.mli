@@ -80,11 +80,8 @@ val bytes_delivered : t -> int
 
 val name : t -> string
 
-val publish : t -> Telemetry.Event_bus.t -> unit
-(** Mirror this link's arrival/drop/departure events onto the bus as
-    [Packet] events tagged with the link's name. *)
-
-val record : t -> Telemetry.Recorder.t -> unit
-(** The binary twin of {!publish}: write a fixed-width flight-recorder
-    record (with the instantaneous queue depth) at the same three hook
-    sites. Allocation-free per event. *)
+val record : t -> Telemetry.Recorder.lane -> unit
+(** Write a fixed-width flight-recorder record (with the instantaneous
+    queue depth) into the lane at every arrival, drop and departure,
+    tagged with the link's name; they decode to [Packet] events.
+    Allocation-free per event. *)

@@ -284,10 +284,6 @@ let data_seq_at t slot ~default =
     Array.unsafe_get t.word slot
   else default
 
-let seq_opt t h =
-  let slot = slot_of t h in
-  if t.flags.(slot) land 3 = kind_ack then None else Some t.word.(slot)
-
 let ece t h = t.flags.(slot_of t h) land f_ece <> 0
 
 let sack t h = t.sack.(slot_of t h)

@@ -153,10 +153,6 @@ val seq : t -> handle -> int
 val ack : t -> handle -> int
 (** Synonym for {!seq}, read on ACKs. *)
 
-val seq_opt : t -> handle -> int option
-(** [Some] data sequence number, [None] for ACKs — the tracer/telemetry
-    convention inherited from the record representation. *)
-
 val ece : t -> handle -> bool
 val sack : t -> handle -> (int * int) list
 
@@ -187,8 +183,8 @@ val flow_at : t -> int -> int
 val size_bytes_at : t -> int -> int
 
 val data_seq_at : t -> int -> default:int -> int
-(** The data/UDP sequence number, or [default] for an ACK — the
-    unchecked twin of {!seq_opt}. *)
+(** The data/UDP sequence number, or [default] for an ACK (the trace's
+    packet records carry {!Telemetry.Record.no_seq} there). *)
 
 (** {2 Accounting} *)
 

@@ -2,8 +2,8 @@ type t = Droptail of Droptail.t | Red of Red.t | Sfq of Sfq.t
 
 let droptail ~capacity = Droptail (Droptail.create ~capacity)
 
-let red ?bus ?recorder ?name ~rng ~pool params =
-  Red (Red.create ?bus ?recorder ?name ~rng ~pool params)
+let red ?recorder ?name ~rng ~pool params =
+  Red (Red.create ?recorder ?name ~rng ~pool params)
 
 let sfq ?buckets ~pool ~capacity () = Sfq (Sfq.create ?buckets ~pool ~capacity ())
 

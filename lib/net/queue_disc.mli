@@ -10,8 +10,7 @@ type t = Droptail of Droptail.t | Red of Red.t | Sfq of Sfq.t
 val droptail : capacity:int -> t
 
 val red :
-  ?bus:Telemetry.Event_bus.t ->
-  ?recorder:Telemetry.Recorder.t ->
+  ?recorder:Telemetry.Recorder.lane ->
   ?name:string ->
   rng:Sim_engine.Rng.t ->
   pool:Packet_pool.t ->
@@ -21,8 +20,12 @@ val red :
 val sfq : ?buckets:int -> pool:Packet_pool.t -> capacity:int -> unit -> t
 
 val set_recorder :
-  t -> recorder:Telemetry.Recorder.t -> pool:Packet_pool.t -> name:string -> unit
-(** Wire the flight recorder to the discipline's own drop decisions
+  t ->
+  recorder:Telemetry.Recorder.lane ->
+  pool:Packet_pool.t ->
+  name:string ->
+  unit
+(** Wire a flight-recorder lane to the discipline's own drop decisions
     (drop-tail and SFQ; RED takes its recorder at construction and this
     is a no-op for it). *)
 

@@ -12,9 +12,10 @@ type t = {
 }
 
 let create ?recorder ~name ~pool () =
-  let rlane = Option.map (fun r -> Telemetry.Recorder.lane r 0) recorder in
   let rsid =
-    match recorder with None -> 0 | Some r -> Telemetry.Recorder.intern r name
+    match recorder with
+    | None -> 0
+    | Some lane -> Telemetry.Recorder.intern (Telemetry.Recorder.owner lane) name
   in
   {
     name;
@@ -22,7 +23,7 @@ let create ?recorder ~name ~pool () =
     routes = Hashtbl.create 16;
     default = None;
     forwarded = 0;
-    rlane;
+    rlane = recorder;
     rsid;
   }
 

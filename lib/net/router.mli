@@ -8,8 +8,12 @@
 type t
 
 val create :
-  ?recorder:Telemetry.Recorder.t -> name:string -> pool:Packet_pool.t -> unit -> t
-(** When [recorder] is given, retransmitted data segments forwarded by
+  ?recorder:Telemetry.Recorder.lane ->
+  name:string ->
+  pool:Packet_pool.t ->
+  unit ->
+  t
+(** When a [recorder] lane is given, retransmitted data segments forwarded by
     the router write a [router_rtx_forward] lifecycle record stamped
     with the segment's send time. *)
 

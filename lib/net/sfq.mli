@@ -16,8 +16,8 @@ val create :
     packets are handles into [pool].
     @raise Invalid_argument if [capacity < 1] or [buckets < 1]. *)
 
-val set_recorder : t -> recorder:Telemetry.Recorder.t -> name:string -> unit
-(** Wire a flight recorder: drop decisions (including push-out victims)
+val set_recorder : t -> recorder:Telemetry.Recorder.lane -> name:string -> unit
+(** Wire a flight-recorder lane: drop decisions (including push-out victims)
     write a [queue_forced_drop] record tagged with [name], carrying the
     total occupancy. *)
 

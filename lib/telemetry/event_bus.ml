@@ -22,45 +22,11 @@ type event =
       flow : int;
       avg : float;
     }
-  | Custom of { time : float; name : string; value : float }
 
 let time = function
   | Packet e -> e.time
   | Tcp e -> e.time
   | Queue e -> e.time
-  | Custom e -> e.time
-
-type subscription = int
-
-type t = {
-  mutable subs : (subscription * (event -> unit)) list; (* newest first *)
-  mutable fanout : (event -> unit) array; (* subscription order *)
-  mutable next_id : int;
-  mutable published : int;
-}
-
-let create () = { subs = []; fanout = [||]; next_id = 0; published = 0 }
-
-let refresh t = t.fanout <- Array.of_list (List.rev_map snd t.subs)
-
-let subscribe t f =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  t.subs <- (id, f) :: t.subs;
-  refresh t;
-  id
-
-let unsubscribe t id =
-  t.subs <- List.filter (fun (i, _) -> i <> id) t.subs;
-  refresh t
-
-let has_subscribers t = Array.length t.fanout > 0
-
-let publish t e =
-  t.published <- t.published + 1;
-  Array.iter (fun f -> f e) t.fanout
-
-let published t = t.published
 
 (* ------------------------------------------------------------------ *)
 (* NDJSON *)
@@ -112,14 +78,6 @@ let to_json = function
           ("queue", Json.String e.queue);
           ("flow", Json.Int e.flow);
           ("avg", Json.Float e.avg);
-        ]
-  | Custom e ->
-      Json.Obj
-        [
-          ("event", Json.String "custom");
-          ("time", Json.Float e.time);
-          ("name", Json.String e.name);
-          ("value", Json.Float e.value);
         ]
 
 let ( let* ) = Result.bind
@@ -199,11 +157,6 @@ let of_json j =
       let* flow = int_field "flow" j in
       let* avg = num "avg" j in
       Ok (Queue { time; kind; queue; flow; avg })
-  | "custom" ->
-      let* time = num "time" j in
-      let* name = str "name" j in
-      let* value = num "value" j in
-      Ok (Custom { time; name; value })
   | e -> Error (Printf.sprintf "unknown event type %S" e)
 
 let to_ndjson e = Json.to_string (to_json e)
@@ -215,3 +168,17 @@ let of_ndjson_line line =
 let ndjson_writer oc e =
   output_string oc (to_ndjson e);
   output_char oc '\n'
+
+(* ------------------------------------------------------------------ *)
+(* ns-style text *)
+
+let ns_line = function
+  | Packet e ->
+      let mark = match e.kind with Arrival -> '+' | Drop -> 'd' | Depart -> 'r' in
+      let seq =
+        match e.seq with Some s -> Printf.sprintf "seq=%d" s | None -> "ack"
+      in
+      Some
+        (Printf.sprintf "%c %.6f %s flow=%d %s %dB" mark e.time e.link e.flow seq
+           e.size_bytes)
+  | Tcp _ | Queue _ -> None

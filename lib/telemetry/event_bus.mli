@@ -1,13 +1,12 @@
-(** The simulation event bus: one typed publish/subscribe channel.
+(** The simulation's event vocabulary: the decoded view of a flight
+    recording.
 
-    Generalises the hard-wired [Link.on_arrival/on_drop/on_depart] +
-    [Tracer] pattern: producers (links, queue disciplines, TCP senders)
-    publish typed events; any number of subscribers (tracers, NDJSON
-    sinks, ad-hoc analysis closures) observe them in subscription order.
-    Publishing with no subscribers is a counter bump and an iteration
-    over an empty array — producers hold a [t option] and simply skip
-    publishing when telemetry is off, so the simulation hot path pays
-    nothing in the default configuration.
+    Producers (links, queue disciplines, TCP senders) write fixed-width
+    {!Recorder} records; {!Record.event_of_record} turns the parity
+    kinds back into the typed events below. Every text trace the
+    simulator writes — the [--trace-out] NDJSON stream and the
+    ns-style [trace] output — is produced by decoding a recording
+    through this type, so there is one trace path.
 
     Every event serialises to one JSON object (NDJSON when
     newline-separated) and parses back exactly: for any event [e],
@@ -25,7 +24,7 @@ type event =
       kind : packet_kind;
       link : string;
       flow : int;
-      seq : int option;  (** [None] for ACKs, like the tracer *)
+      seq : int option;  (** [None] for ACKs and UDP datagrams *)
       size_bytes : int;
       uid : int;
     }  (** A link-level packet event (queue arrival, drop, delivery). *)
@@ -41,29 +40,8 @@ type event =
     }  (** A queue-discipline decision RED makes internally (an early or
           forced drop, or a CE mark) that plain link drop counts cannot
           distinguish. *)
-  | Custom of { time : float; name : string; value : float }
-      (** Escape hatch for experiment-specific instrumentation. *)
 
 val time : event -> float
-
-type t
-
-type subscription
-
-val create : unit -> t
-
-val subscribe : t -> (event -> unit) -> subscription
-(** Subscribers are invoked in subscription order on every publish. *)
-
-val unsubscribe : t -> subscription -> unit
-(** A no-op if already unsubscribed. *)
-
-val has_subscribers : t -> bool
-
-val publish : t -> event -> unit
-
-val published : t -> int
-(** Total events published so far (whether or not anyone listened). *)
 
 (** {2 NDJSON serialisation} *)
 
@@ -77,5 +55,20 @@ val to_ndjson : event -> string
 val of_ndjson_line : string -> (event, string) result
 
 val ndjson_writer : out_channel -> event -> unit
-(** A ready-made subscriber that appends one NDJSON line per event. The
-    caller owns (and flushes/closes) the channel. *)
+(** Append one NDJSON line per event. The caller owns (and
+    flushes/closes) the channel. *)
+
+(** {2 ns-style text} *)
+
+val ns_line : event -> string option
+(** The classic ns trace line of a packet event, without a newline:
+
+    {v
+    + 12.345678 bottleneck flow=3 seq=127 1500B
+    d 12.345678 bottleneck flow=5 seq=96 1500B
+    r 12.847312 bottleneck flow=3 seq=127 1500B
+    v}
+
+    ([+] queue arrival, [d] drop, [r] delivery at the far end; [ack] in
+    place of [seq=N] for packets without a data sequence number).
+    [None] for TCP and queue events. *)

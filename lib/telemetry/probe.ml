@@ -5,7 +5,6 @@ type recording = {
 
 type t = {
   registry : Registry.t;
-  bus : Event_bus.t;
   phases : Perf.phases;
   mutable recording : recording option;
   mutable burst : Burst.config option;
@@ -14,7 +13,6 @@ type t = {
 let create () =
   {
     registry = Registry.create ();
-    bus = Event_bus.create ();
     phases = Perf.phases ();
     recording = None;
     burst = None;
@@ -53,8 +51,13 @@ let start_recorder t ~label =
 let segments t =
   match t.recording with None -> [] | Some r -> List.rev r.segments_rev
 
-let write_segments t oc =
-  List.iter (fun r -> Recorder.write_segment oc r) (segments t)
+let take_segments t =
+  match t.recording with
+  | None -> []
+  | Some r ->
+      let segs = List.rev r.segments_rev in
+      r.segments_rev <- [];
+      segs
 
 let time probe name f =
   match probe with Some p -> Perf.time p.phases name f | None -> f ()

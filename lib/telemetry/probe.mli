@@ -1,7 +1,8 @@
-(** A probe bundles the three telemetry facilities — metric registry,
-    event bus, phase timers — into the single handle that threads through
-    the simulator as a [Probe.t option]. [None] means telemetry is off
-    and every helper below degrades to a no-op.
+(** A probe bundles the telemetry facilities — metric registry, phase
+    timers, flight recording and burst configuration — into the single
+    handle that threads through the simulator as a [Probe.t option].
+    [None] means telemetry is off and every helper below degrades to a
+    no-op.
 
     Metric names used by {!note_run} are exposed as [m_*] constants so
     reporters and tests never spell them twice. *)
@@ -13,7 +14,6 @@ type recording = {
 
 type t = {
   registry : Registry.t;
-  bus : Event_bus.t;
   phases : Perf.phases;
   mutable recording : recording option;
   mutable burst : Burst.config option;
@@ -52,8 +52,10 @@ val start_recorder : t -> label:string -> Recorder.t option
 val segments : t -> Recorder.t list
 (** Accumulated segments in run order. *)
 
-val write_segments : t -> out_channel -> unit
-(** Write all segments in order (idempotent per segment). *)
+val take_segments : t -> Recorder.t list
+(** {!segments}, forgetting them: a caller that decodes each run's
+    segment as soon as the run ends holds one run's records at a
+    time. *)
 
 val time : t option -> string -> (unit -> 'a) -> 'a
 (** [time probe name f] times [f] under phase [name] when the probe is
@@ -115,9 +117,8 @@ val merge : into:t -> t -> unit
 (** Fold a worker probe into the main one after a parallel sweep:
     registry series merge with run-aware gauge rules (high-water marks
     take the max, seconds totals sum, other gauges keep last-write) and
-    phase timers accumulate. Event-bus subscriptions are deliberately
-    not transferred — workers publish to their own bus while they run.
-    [src] is left untouched. *)
+    phase timers accumulate; the worker's recorder segments are appended
+    in merge order. [src] is left untouched. *)
 
 val runs_total : t -> int
 

@@ -13,10 +13,11 @@
    - [sid]   interned-string id (link/queue/label name), 0 = none;
    - [depth] instantaneous queue depth at the recording site, or 0.
 
-   Kinds 0..10 mirror {!Event_bus.event} one-to-one ("parity" kinds): a
-   recorded stream decodes to byte-identical NDJSON to what the live
-   tracer would have written. Kinds >= 11 are lifecycle extensions that
-   only exist in the binary stream. *)
+   Kinds 0..9 mirror {!Event_bus.event} one-to-one ("parity" kinds):
+   they decode to the NDJSON trace. Kind 10 is unassigned (it once
+   carried a free-form value nothing emitted), so the numbers below do
+   not move. Kinds >= 11 are lifecycle extensions that only exist in
+   the binary stream. *)
 
 let words = 8
 
@@ -31,7 +32,6 @@ let tcp_ecn_reaction = 6
 let queue_ecn_mark = 7
 let queue_early_drop = 8
 let queue_forced_drop = 9
-let custom_value = 10
 
 (* Lifecycle kinds. *)
 let tcp_phase = 11
@@ -61,7 +61,7 @@ let hybrid_bg_rate = 25
 
 let max_kind = hybrid_bg_rate
 
-let is_parity k = k >= packet_arrival && k <= custom_value
+let is_parity k = k >= packet_arrival && k <= queue_forced_drop
 
 let kind_label = function
   | 0 -> "packet_arrival"
@@ -74,7 +74,6 @@ let kind_label = function
   | 7 -> "queue_ecn_mark"
   | 8 -> "queue_early_drop"
   | 9 -> "queue_forced_drop"
-  | 10 -> "custom"
   | 11 -> "tcp_phase"
   | 12 -> "tcp_rtt"
   | 13 -> "rcv_out_of_order"
@@ -110,7 +109,7 @@ let phase_label = function
   | p -> Printf.sprintf "phase_%d" p
 
 (* Sentinel for "no sequence number" in the [c] word of packet records
-   (ACKs and UDP datagrams publish [seq = null]). *)
+   (ACKs and UDP datagrams decode to [seq = null]). *)
 let no_seq = min_int
 
 (* ------------------------------------------------------------------ *)
@@ -233,10 +232,6 @@ let event_of_record ~lookup buf off =
   else if kind = queue_ecn_mark then queue Event_bus.Ecn_mark
   else if kind = queue_early_drop then queue Event_bus.Early_drop
   else if kind = queue_forced_drop then queue Event_bus.Forced_drop
-  else if kind = custom_value then
-    Some
-      (Event_bus.Custom
-         { time; name = lookup sid; value = float_of_parts ~hi:b ~lo:c })
   else None
 
 let json_of_record ~lookup buf off =

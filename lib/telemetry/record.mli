@@ -10,12 +10,12 @@
     Floats travel exactly as the two 32-bit halves of their IEEE-754
     bits in [b]/[c].
 
-    Kinds [0..10] ("parity" kinds) mirror {!Event_bus.event}
-    one-to-one, so a recorded stream decodes to NDJSON byte-identical
-    to the live tracer's output. Kinds [>= 11] are lifecycle
-    extensions (phases, RTT samples, receiver reordering, router
-    retransmit forwards, run markers) that exist only in the binary
-    stream. *)
+    Kinds [0..9] ("parity" kinds) mirror {!Event_bus.event}
+    one-to-one: decoding them is how every NDJSON and ns-style text
+    trace is produced. Kind [10] is unassigned. Kinds [>= 11] are
+    lifecycle extensions (phases, RTT samples, receiver reordering,
+    router retransmit forwards, run markers) that exist only in the
+    binary stream. *)
 
 val words : int
 (** Words per record (8). *)
@@ -32,7 +32,6 @@ val tcp_ecn_reaction : int
 val queue_ecn_mark : int
 val queue_early_drop : int
 val queue_forced_drop : int
-val custom_value : int
 val tcp_phase : int
 val tcp_rtt : int
 val rcv_out_of_order : int
@@ -108,8 +107,8 @@ val float_of_parts : hi:int -> lo:int -> float
 
 val time_of_tick : int -> float
 (** [float_of_int tick /. 1e9] — exactly the engine's tick-to-seconds
-    conversion, so decoded timestamps match published ones byte for
-    byte. *)
+    conversion ([Sim_engine.Time.to_sec]), so decoded timestamps are
+    the simulation clock's, byte for byte. *)
 
 (** {1 Binary word codec}
 
@@ -142,8 +141,7 @@ val event_of_record :
     [lookup] resolves interned-string ids. *)
 
 val json_of_record : lookup:(int -> string) -> int array -> int -> Json.t
-(** JSON for any kind; parity kinds go through
-    {!Event_bus.to_json} so serialization is byte-identical to the
-    live tracer. *)
+(** JSON for any kind; parity kinds go through {!Event_bus.to_json},
+    so they serialize exactly as the NDJSON trace does. *)
 
 val ndjson_of_record : lookup:(int -> string) -> int array -> int -> string

@@ -53,6 +53,7 @@ and lane = {
   mode : int; (* 0 = ring (drop oldest), 1 = grow, 2 = spill *)
   mutable buf : Bytes.t; (* [cap * rbytes] bytes, native-endian words *)
   mutable cap : int; (* records *)
+  base : int; (* grow mode: logical index of buffer slot 0 *)
   mutable total : int; (* records ever offered *)
   mutable flushed : int; (* records already spilled to disk *)
   mutable dropped : int; (* records overwritten in ring mode *)
@@ -110,6 +111,12 @@ let intern t s =
 
 let intern_array t = Array.of_list (List.rev t.interns_rev)
 
+let lookup t =
+  let interns = intern_array t in
+  fun i ->
+    if i >= 0 && i < Array.length interns then interns.(i)
+    else Printf.sprintf "?%d" i
+
 let lane t id =
   match List.find_opt (fun l -> l.id = id) t.lanes_rev with
   | Some l -> l
@@ -128,6 +135,7 @@ let lane t id =
           (* Uninitialized on purpose: only written slots are read. *)
           buf = Bytes.create (cap * rbytes);
           cap;
+          base = 0;
           total = 0;
           flushed = 0;
           dropped = 0;
@@ -138,6 +146,8 @@ let lane t id =
 
 let lane_id l = l.id
 
+let owner l = l.owner
+
 let recorded l = l.total
 
 let lane_dropped l = l.dropped
@@ -145,13 +155,13 @@ let lane_dropped l = l.dropped
 (* Logical record index -> buffer slot ([cap] is a power of two). *)
 let slot_of l k =
   if l.mode = 0 then k land (l.cap - 1)
-  else if l.mode = 1 then k
+  else if l.mode = 1 then k - l.base
   else k - l.flushed
 
 (* First logical index still held in memory. *)
 let retained_first l =
   if l.mode = 0 then max 0 (l.total - l.cap)
-  else if l.mode = 1 then 0
+  else if l.mode = 1 then l.base
   else l.flushed
 
 let retained l = l.total - retained_first l
@@ -231,13 +241,14 @@ let[@inline] record l ~tick ~kind ~flow ~a ~b ~c ~sid ~depth =
       n land (l.cap - 1)
     end
     else if l.mode = 1 then begin
-      if n = l.cap then begin
+      let k = n - l.base in
+      if k = l.cap then begin
         let nbuf = Bytes.create (l.cap * 2 * rbytes) in
         Bytes.blit l.buf 0 nbuf 0 (l.cap * rbytes);
         l.buf <- nbuf;
         l.cap <- l.cap * 2
       end;
-      n
+      k
     end
     else begin
       if n - l.flushed = l.cap then flush_lane l;
@@ -273,37 +284,116 @@ let iter_lane l f =
     f ~seq:k scratch 0
   done
 
+(* K-way merge by tick: [first i] .. [last i] (exclusive) are lane [i]'s
+   logical indices and [tick i k] reads one record's tick. Strict [<]
+   keeps the earliest lane on ties, so lanes given in ascending id order
+   merge by [(tick, lane, seq)]. *)
+let merge_by_tick ~first ~last ~tick f =
+  let cursor = Array.copy first in
+  let rec next () =
+    let best = ref (-1) and best_tick = ref max_int in
+    Array.iteri
+      (fun i k ->
+        if k < last.(i) then begin
+          let t = tick i k in
+          if !best < 0 || t < !best_tick then begin
+            best := i;
+            best_tick := t
+          end
+        end)
+      cursor;
+    if !best >= 0 then begin
+      let i = !best in
+      let k = cursor.(i) in
+      cursor.(i) <- k + 1;
+      f i k;
+      next ()
+    end
+  in
+  next ()
+
 let iter_merged t f =
   let ls = Array.of_list (lanes t) in
   let scratch = Array.make Record.words 0 in
-  let cursor = Array.map retained_first ls in
-  let n = Array.length ls in
-  let exception Done in
-  (try
-     while true do
-       let best = ref (-1) in
-       let best_tick = ref max_int in
-       for i = 0 to n - 1 do
-         let l = ls.(i) in
-         if cursor.(i) < l.total then begin
-           let tick = Int64.to_int (unsafe_get64 l.buf (slot_of l cursor.(i) * rbytes)) in
-           (* Strict [<] keeps the earliest lane on ties: lanes are
-              scanned in ascending id order. *)
-           if !best < 0 || tick < !best_tick then begin
-             best := i;
-             best_tick := tick
-           end
-         end
-       done;
-       if !best < 0 then raise Done;
-       let i = !best in
-       let l = ls.(i) in
-       let seq = cursor.(i) in
-       cursor.(i) <- seq + 1;
-       load_record l.buf (slot_of l seq * rbytes) scratch;
-       f ~lane:l.id ~seq scratch 0
-     done
-   with Done -> ())
+  merge_by_tick ~first:(Array.map retained_first ls)
+    ~last:(Array.map (fun l -> l.total) ls)
+    ~tick:(fun i k ->
+      Int64.to_int (unsafe_get64 ls.(i).buf (slot_of ls.(i) k * rbytes)))
+    (fun i seq ->
+      load_record ls.(i).buf (slot_of ls.(i) seq * rbytes) scratch;
+      f ~lane:ls.(i).id ~seq scratch 0)
+
+let iter_events t f =
+  let lookup = lookup t in
+  iter_merged t (fun ~lane:_ ~seq:_ words off ->
+      match Record.event_of_record ~lookup words off with
+      | Some e -> f e
+      | None -> ())
+
+(* ------------------------------------------------------------------ *)
+(* Canonical merge.                                                   *)
+
+let merge_canonical t =
+  if t.finished || t.spill <> None then
+    invalid_arg "Recorder.merge_canonical: finished or spilling recorder";
+  let w = Record.words in
+  let ls = lanes t in
+  let m = List.fold_left (fun acc l -> acc + retained l) 0 ls in
+  let words = Array.make (m * w) 0 in
+  let n = ref 0 in
+  List.iter
+    (fun l ->
+      iter_lane l (fun ~seq:_ buf off ->
+          Array.blit buf off words (!n * w) w;
+          incr n))
+    ls;
+  (* Ties on tick are ordered by the decoded NDJSON line (decoded only
+     for records that tie), which keeps the sharded engine's pinned trace
+     digest, and identical lines by their raw words. *)
+  let lookup = lookup t in
+  let lines = Array.make m None in
+  let line i =
+    match lines.(i) with
+    | Some s -> s
+    | None ->
+        let s = Record.ndjson_of_record ~lookup words (i * w) in
+        lines.(i) <- Some s;
+        s
+  in
+  let order = Array.init m Fun.id in
+  Array.sort
+    (fun i j ->
+      let c = Int.compare words.(i * w) words.(j * w) in
+      if c <> 0 then c
+      else
+        let c = String.compare (line i) (line j) in
+        if c <> 0 then c
+        else compare (Array.sub words (i * w) w) (Array.sub words (j * w) w))
+    order;
+  let cap = pow2_above m in
+  let buf = Bytes.create (cap * rbytes) in
+  Array.iteri
+    (fun q k ->
+      for x = 0 to w - 1 do
+        Record.set_word buf ((q * rbytes) + (8 * x)) words.((k * w) + x)
+      done)
+    order;
+  let total = List.fold_left (fun acc l -> acc + l.total) 0 ls in
+  let dropped = List.fold_left (fun acc l -> acc + l.dropped) 0 ls in
+  t.lanes_rev <-
+    [
+      {
+        owner = t;
+        id = 0;
+        mode = 1;
+        buf;
+        cap;
+        base = total - m;
+        total;
+        flushed = 0;
+        dropped;
+      };
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Segment completion.                                                *)
@@ -474,29 +564,10 @@ let read_segments ic =
 
 let iter_segment seg f =
   let ls = Array.of_list seg.seg_lanes in
-  let cursor = Array.make (Array.length ls) 0 in
-  let counts = Array.map read_lane_retained ls in
-  let n = Array.length ls in
-  let exception Done in
-  (try
-     while true do
-       let best = ref (-1) in
-       let best_tick = ref max_int in
-       for i = 0 to n - 1 do
-         if cursor.(i) < counts.(i) then begin
-           let tick = ls.(i).rl_records.(cursor.(i) * Record.words) in
-           if !best < 0 || tick < !best_tick then begin
-             best := i;
-             best_tick := tick
-           end
-         end
-       done;
-       if !best < 0 then raise Done;
-       let i = !best in
-       let idx = cursor.(i) in
-       cursor.(i) <- idx + 1;
-       f ~lane:ls.(i).rl_id
-         ~seq:(ls.(i).rl_first + idx)
-         ls.(i).rl_records (idx * Record.words)
-     done
-   with Done -> ())
+  merge_by_tick
+    ~first:(Array.make (Array.length ls) 0)
+    ~last:(Array.map read_lane_retained ls)
+    ~tick:(fun i k -> ls.(i).rl_records.(k * Record.words))
+    (fun i k ->
+      f ~lane:ls.(i).rl_id ~seq:(ls.(i).rl_first + k) ls.(i).rl_records
+        (k * Record.words))

@@ -52,10 +52,18 @@ val intern : t -> string -> int
 val intern_array : t -> string array
 (** The intern table by id; index 0 is always [""]. *)
 
+val lookup : t -> int -> string
+(** Resolve an interned-string id (["?N"] for an unknown one) — the
+    [lookup] argument of the {!Record} decoders. *)
+
 val lane : t -> int -> lane
 (** Get-or-create the lane with the given domain id. *)
 
 val lane_id : lane -> int
+
+val owner : lane -> t
+(** The recorder a lane belongs to — how an instrumentation site that
+    was handed a lane interns its names and reads {!lifecycle}. *)
 
 val record :
   lane ->
@@ -92,6 +100,21 @@ val iter_lane : lane -> (seq:int -> int array -> int -> unit) -> unit
 
 val iter_merged : t -> (lane:int -> seq:int -> int array -> int -> unit) -> unit
 (** All lanes' in-memory records merged by [(tick, lane, seq)]. *)
+
+val iter_events : t -> (Event_bus.event -> unit) -> unit
+(** The parity records of {!iter_merged}, decoded: the events every
+    text trace ([--trace-out] NDJSON, the ns-style [trace] output) is
+    made of. *)
+
+val merge_canonical : t -> unit
+(** Replace every lane by a single lane 0 holding all retained records
+    in canonical order: by tick, then by decoded NDJSON line
+    ({!Record.ndjson_of_record}), then by raw words. The order depends
+    only on the set of records, not on how they were spread over
+    lanes, so a run whose domains record into separate lanes decodes
+    identically however the work was split. Lane totals and drop
+    counts are summed. Call it after the last record.
+    @raise Invalid_argument on a finished or spilling recorder. *)
 
 val write_segment : out_channel -> t -> unit
 (** Writes remaining records, lane summaries and the end marker, then

@@ -10,7 +10,6 @@ type t = {
   events_per_sec : float;
   sim_wall_ratio : float;
   words_per_event : float;
-  bus_events : int;
   phases : (string * float) list;
   metrics : Json.t;
 }
@@ -36,7 +35,6 @@ let of_probe ?(label = "run") (p : Probe.t) =
     events_per_sec = rate (float_of_int events_fired);
     sim_wall_ratio = rate sim_time_s;
     words_per_event = gauge Probe.m_words_per_event;
-    bus_events = Event_bus.published p.Probe.bus;
     phases = Perf.durations_s p.Probe.phases;
     metrics = Registry.to_json r;
   }
@@ -55,7 +53,6 @@ let to_json t =
       ("events_per_sec", Json.Float t.events_per_sec);
       ("sim_wall_ratio", Json.Float t.sim_wall_ratio);
       ("words_per_event", Json.Float t.words_per_event);
-      ("bus_events", Json.Int t.bus_events);
       ("phases", Json.Obj (List.map (fun (n, s) -> (n, Json.Float s)) t.phases));
       ("metrics", t.metrics);
     ]

@@ -20,7 +20,6 @@ type t = {
   words_per_event : float;
       (** minor-heap words allocated per scheduler event, 0 when GC
           counters were not recorded *)
-  bus_events : int;
   phases : (string * float) list;
   metrics : Json.t;  (** [Registry.to_json] dump *)
 }

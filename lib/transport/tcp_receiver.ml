@@ -24,8 +24,8 @@ type group = {
   row_ints : int;
   transmit : flow:int -> Pool.handle -> unit;
   (* Lifecycle-only flight-recorder lane: out-of-order buffering and
-     duplicate discards. [None] in parity mode so the binary stream
-     stays byte-identical to the live NDJSON tracer. *)
+     duplicate discards. [None] in parity mode, which records only the
+     kinds the NDJSON trace is made of. *)
   rlane : Telemetry.Recorder.lane option;
   (* Preallocated keyed 200 ms timer action: arming per flight of
      segments builds no closure. *)
@@ -112,8 +112,7 @@ let create_group ?(sack = false) ?recorder ?(capacity = 16) sched ~pool
     invalid_arg "Tcp_receiver.create_group: adv_window < 1";
   let rlane =
     match recorder with
-    | Some r when Telemetry.Recorder.lifecycle r ->
-        Some (Telemetry.Recorder.lane r 0)
+    | Some lane when Telemetry.Recorder.lifecycle (Telemetry.Recorder.owner lane) -> recorder
     | _ -> None
   in
   let st_size = L.seq_table_size ~adv_window in

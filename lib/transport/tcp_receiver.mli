@@ -21,7 +21,7 @@ type t
 
 val create_group :
   ?sack:bool ->
-  ?recorder:Telemetry.Recorder.t ->
+  ?recorder:Telemetry.Recorder.lane ->
   ?capacity:int ->
   Sim_engine.Scheduler.t ->
   pool:Netsim.Packet_pool.t ->
@@ -33,7 +33,7 @@ val create_group :
 (** [sack] (default false) attaches RFC 2018 selective-acknowledgment
     blocks describing buffered out-of-order data to every ACK.
     [recorder] (lifecycle mode only) logs out-of-order buffering and
-    duplicate discards to the flight recorder. [adv_window] sizes the
+    duplicate discards into that flight-recorder lane. [adv_window] sizes the
     reassembly window (it must match the senders' advertised window);
     a data segment beyond it raises [Invalid_argument]. [capacity]
     (default 16) pre-sizes the flow table.
@@ -54,7 +54,7 @@ val group : t -> group
 
 val create :
   ?sack:bool ->
-  ?recorder:Telemetry.Recorder.t ->
+  ?recorder:Telemetry.Recorder.lane ->
   Sim_engine.Scheduler.t ->
   pool:Netsim.Packet_pool.t ->
   flow:int ->

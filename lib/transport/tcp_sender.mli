@@ -31,8 +31,7 @@ val create_group :
   ?cwnd_validation:bool ->
   ?limited_transmit:bool ->
   ?pacing:bool ->
-  ?bus:Telemetry.Event_bus.t ->
-  ?recorder:Telemetry.Recorder.t ->
+  ?recorder:Telemetry.Recorder.lane ->
   ?vegas:Cc.vegas_params ->
   ?initial_ssthresh:float ->
   ?max_window:float ->
@@ -65,9 +64,12 @@ val create_group :
     at srtt/cwnd intervals instead of ACK-clocked bursts
     (Aggarwal–Savage–Anderson); retransmissions are never paced.
 
-    [bus] (default absent) publishes a [Tcp] event for every congestion
-    decision: [Timeout], [Fast_retransmit] and [Ecn_reaction], each
-    followed by a [Cwnd_cut] carrying the post-reaction window.
+    [recorder] (default absent) is the flight-recorder lane the group
+    writes into: a record for every congestion decision — timeout, fast
+    retransmit and ECN reaction, each followed by a window cut carrying
+    the post-reaction window (they decode to [Tcp] events) — plus, when
+    the recorder is in lifecycle mode, congestion-phase changes and RTT
+    samples.
     @raise Invalid_argument on [adv_window < 1] or [mss_bytes < 1]. *)
 
 val attach :
@@ -95,8 +97,7 @@ val create :
   ?limited_transmit:bool ->
   ?pacing:bool ->
   ?trace_cwnd:bool ->
-  ?bus:Telemetry.Event_bus.t ->
-  ?recorder:Telemetry.Recorder.t ->
+  ?recorder:Telemetry.Recorder.lane ->
   ?vegas:Cc.vegas_params ->
   ?initial_ssthresh:float ->
   ?max_window:float ->

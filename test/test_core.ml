@@ -300,6 +300,22 @@ let run_cov_ci_present () =
     true
     (Float.abs (m.Metrics.cov -. m.Metrics.analytic_cov) < 3. *. m.Metrics.cov_ci95)
 
+(* The NDJSON trace of a run, decoded from its parity-only flight
+   recording exactly as --trace-out writes it. *)
+let decoded_trace cfg scenario =
+  let probe = Telemetry.Probe.create () in
+  Telemetry.Probe.set_recording probe
+    { Telemetry.Recorder.default_config with lifecycle = false };
+  ignore (Run.run ~probe cfg scenario);
+  let buf = Buffer.create (1 lsl 15) in
+  List.iter
+    (fun r ->
+      Telemetry.Recorder.iter_events r (fun ev ->
+          Buffer.add_string buf (Telemetry.Event_bus.to_ndjson ev);
+          Buffer.add_char buf '\n'))
+    (Telemetry.Probe.segments probe);
+  Buffer.contents buf
+
 let run_trace_digest_pinned () =
   (* Trace-equivalence gate for the packet-pool refactor: the full NDJSON
      event stream of a reference run is pinned by digest. Any change to
@@ -308,14 +324,7 @@ let run_trace_digest_pinned () =
      heap-packet implementation before pooling, so passing means the pooled
      engine is event-for-event identical to it. *)
   let cfg = tiny ~clients:4 ~duration:5. ~warmup:1. () in
-  let probe = Telemetry.Probe.create () in
-  let buf = Buffer.create (1 lsl 15) in
-  ignore
-    (Telemetry.Event_bus.subscribe probe.Telemetry.Probe.bus (fun ev ->
-         Buffer.add_string buf (Telemetry.Event_bus.to_ndjson ev);
-         Buffer.add_char buf '\n'));
-  ignore (Run.run ~probe cfg Scenario.reno);
-  let trace = Buffer.contents buf in
+  let trace = decoded_trace cfg Scenario.reno in
   Alcotest.(check int) "trace length" 28432 (String.length trace);
   Alcotest.(check string) "trace digest" "06737bcfca22b5f3d9986c42f3195862"
     (Digest.to_hex (Digest.string trace))
@@ -336,14 +345,7 @@ let run_trace_digest_pinned_flow_table () =
       gateway = Scenario.Red;
     }
   in
-  let probe = Telemetry.Probe.create () in
-  let buf = Buffer.create (1 lsl 15) in
-  ignore
-    (Telemetry.Event_bus.subscribe probe.Telemetry.Probe.bus (fun ev ->
-         Buffer.add_string buf (Telemetry.Event_bus.to_ndjson ev);
-         Buffer.add_char buf '\n'));
-  ignore (Run.run ~probe cfg scenario);
-  let trace = Buffer.contents buf in
+  let trace = decoded_trace cfg scenario in
   Alcotest.(check int) "trace length" 28416 (String.length trace);
   Alcotest.(check string) "trace digest" "9fa84ea08a69d641d283c03c86f01029"
     (Digest.to_hex (Digest.string trace))
@@ -367,14 +369,7 @@ let run_trace_digest_pinned_sharded () =
   List.iter
     (fun shards ->
       let cfg = { (tiny ~clients:4 ~duration:5. ~warmup:1. ()) with Config.shards } in
-      let probe = Telemetry.Probe.create () in
-      let buf = Buffer.create (1 lsl 15) in
-      ignore
-        (Telemetry.Event_bus.subscribe probe.Telemetry.Probe.bus (fun ev ->
-             Buffer.add_string buf (Telemetry.Event_bus.to_ndjson ev);
-             Buffer.add_char buf '\n'));
-      ignore (Run.run ~probe cfg scenario);
-      let trace = Buffer.contents buf in
+      let trace = decoded_trace cfg scenario in
       let label fmt = Printf.sprintf fmt shards in
       Alcotest.(check int) (label "trace length, %d shard(s)") 30424
         (String.length trace);
@@ -385,12 +380,13 @@ let run_trace_digest_pinned_sharded () =
     [ 1; 2; 4 ]
 
 let run_recorder_parity_with_live_tracer () =
-  (* The flight recorder's parity promise, pinned end to end: run once
-     with both the live NDJSON tracer and a parity-only recorder
-     attached, push the recording through the same segment write /
-     read / decode pipeline the [trace decode] CLI uses, and require
-     the two byte streams to be identical. *)
-  let cfg = tiny ~clients:4 ~duration:5. ~warmup:1. () in
+  (* The flight recorder's parity promise, pinned end to end on a RED
+     run with packet, TCP and gateway queue events: the in-memory decode
+     (what --trace-out writes) and the segment write / read / decode
+     pipeline (what [trace decode] prints for the parity kinds) must be
+     byte-identical, and both must equal the stream the retired live
+     event-bus tracer wrote for this run, pinned by length and digest. *)
+  let cfg = tiny ~clients:30 ~duration:5. ~warmup:1. () in
   let probe = Telemetry.Probe.create () in
   Telemetry.Probe.set_recording probe
     {
@@ -398,18 +394,22 @@ let run_recorder_parity_with_live_tracer () =
       overflow = Telemetry.Recorder.Grow;
       lifecycle = false;
     };
+  ignore (Run.run ~probe cfg Scenario.reno_red);
   let live = Buffer.create (1 lsl 15) in
-  ignore
-    (Telemetry.Event_bus.subscribe probe.Telemetry.Probe.bus (fun ev ->
-         Buffer.add_string live (Telemetry.Event_bus.to_ndjson ev);
-         Buffer.add_char live '\n'));
-  ignore (Run.run ~probe cfg Scenario.reno);
+  List.iter
+    (fun r ->
+      Telemetry.Recorder.iter_events r (fun ev ->
+          Buffer.add_string live (Telemetry.Event_bus.to_ndjson ev);
+          Buffer.add_char live '\n'))
+    (Telemetry.Probe.segments probe);
   let path = Filename.temp_file "burstsim_parity" ".bin" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out_bin path in
-      Telemetry.Probe.write_segments probe oc;
+      List.iter
+        (Telemetry.Recorder.write_segment oc)
+        (Telemetry.Probe.segments probe);
       close_out oc;
       let ic = open_in_bin path in
       let segments =
@@ -426,9 +426,18 @@ let run_recorder_parity_with_live_tracer () =
                 (Telemetry.Record.ndjson_of_record ~lookup words off);
               Buffer.add_char decoded '\n'))
         segments;
-      Alcotest.(check bool) "live trace non-empty" true (Buffer.length live > 0);
-      Alcotest.(check string) "recorder decodes byte-identically"
-        (Buffer.contents live) (Buffer.contents decoded))
+      let trace = Buffer.contents live in
+      let has kind =
+        Astring_like.contains trace (Printf.sprintf "{\"event\":%S" kind)
+      in
+      Alcotest.(check bool) "packet, tcp and queue events" true
+        (has "packet" && has "tcp" && has "queue");
+      Alcotest.(check string) "recorder decodes byte-identically" trace
+        (Buffer.contents decoded);
+      Alcotest.(check int) "live tracer length" 180510 (String.length trace);
+      Alcotest.(check string) "live tracer digest"
+        "81e01ef831f15d5dd4fd564c4841627a"
+        (Digest.to_hex (Digest.string trace)))
 
 let run_releases_every_pooled_packet () =
   (* Run.run drains the network at the horizon and fails loudly if any

@@ -50,9 +50,10 @@ let pool_classifiers () =
   Alcotest.(check bool) "data is data" true (Pool.is_data pool data);
   Alcotest.(check bool) "ack not data" false (Pool.is_data pool ack);
   Alcotest.(check bool) "udp is data" true (Pool.is_data pool udp);
-  Alcotest.(check (option int)) "seq data" (Some 7) (Pool.seq_opt pool data);
-  Alcotest.(check (option int)) "seq ack" None (Pool.seq_opt pool ack);
-  Alcotest.(check (option int)) "seq udp" (Some 9) (Pool.seq_opt pool udp);
+  let data_seq h = Pool.data_seq_at pool (Pool.slot_exn pool h) ~default:(-1) in
+  Alcotest.(check int) "seq data" 7 (data_seq data);
+  Alcotest.(check int) "seq ack" (-1) (data_seq ack);
+  Alcotest.(check int) "seq udp" 9 (data_seq udp);
   Alcotest.(check int) "ack word" 3 (Pool.ack pool ack);
   Alcotest.(check bool) "not rtx" false (Pool.is_retransmit pool data)
 
@@ -699,54 +700,110 @@ let monitor_queue_sampler () =
   Alcotest.(check bool) "saw empty queue" true (Array.exists (fun v -> v = 0.) values)
 
 (* ------------------------------------------------------------------ *)
-(* Tracer *)
+(* Tracing: a link's flight-recorder records, decoded *)
+
+type traced = {
+  kind : Telemetry.Event_bus.packet_kind;
+  flow : int;
+  link : string;
+  time : float;
+  bytes : int;
+  ev : Telemetry.Event_bus.event;
+}
+
+(* Record every packet event of [link] into a fresh parity recorder;
+   [events ()] decodes them in order once the scheduler has run. *)
+let trace_link link =
+  let r =
+    Telemetry.Recorder.create
+      { Telemetry.Recorder.default_config with lifecycle = false }
+  in
+  Link.record link (Telemetry.Recorder.lane r 0);
+  fun () ->
+    let acc = ref [] in
+    Telemetry.Recorder.iter_events r (function
+      | Telemetry.Event_bus.Packet p as ev ->
+          acc :=
+            {
+              kind = p.kind;
+              flow = p.flow;
+              link = p.link;
+              time = p.time;
+              bytes = p.size_bytes;
+              ev;
+            }
+            :: !acc
+      | Telemetry.Event_bus.Tcp _ | Telemetry.Event_bus.Queue _ -> ());
+    List.rev !acc
 
 let tracer_records_lifecycle () =
   let sched = Scheduler.create () in
   let pool = Pool.create () in
-  let tracer = Tracer.create () in
   let link =
     mk_link ~capacity:1 sched pool ~bandwidth:(Units.kbps 8.) (* 1 s per 1000 B *)
       ~delay:(Time.of_ms 1.)
       ~deliver:(Pool.free pool)
   in
-  Tracer.attach tracer pool link;
+  let events = trace_link link in
   (* First transmits, second queues, third drops. *)
   List.iter (fun i -> Link.send link (mk_packet ~flow:i ~seq:i pool)) [ 0; 1; 2 ];
   Scheduler.run sched;
-  let evs = Tracer.events tracer in
-  let kinds = Array.to_list (Array.map (fun e -> e.Tracer.kind) evs) in
-  Alcotest.(check int) "6 events" 6 (List.length kinds);
-  Alcotest.(check int) "3 arrivals" 3
-    (List.length (List.filter (( = ) Tracer.Arrive) kinds));
-  Alcotest.(check int) "1 drop" 1 (List.length (List.filter (( = ) Tracer.Drop) kinds));
-  Alcotest.(check int) "2 deliveries" 2
-    (List.length (List.filter (( = ) Tracer.Deliver) kinds));
+  let evs = events () in
+  let count kind =
+    List.length (List.filter (fun (e : traced) -> e.kind = kind) evs)
+  in
+  Alcotest.(check int) "6 events" 6 (List.length evs);
+  Alcotest.(check int) "3 arrivals" 3 (count Telemetry.Event_bus.Arrival);
+  Alcotest.(check int) "1 drop" 1 (count Telemetry.Event_bus.Drop);
+  Alcotest.(check int) "2 deliveries" 2 (count Telemetry.Event_bus.Depart);
   (* Drops are attributed to the right flow. *)
-  Alcotest.(check int) "flow 2 dropped" 1 (List.length (Tracer.drops_of_flow tracer 2));
-  Alcotest.(check int) "flow 0 clean" 0 (List.length (Tracer.drops_of_flow tracer 0))
+  let drops_of flow =
+    List.filter
+      (fun e ->
+        e.kind = Telemetry.Event_bus.Drop
+        && e.flow = flow)
+      evs
+  in
+  Alcotest.(check int) "flow 2 dropped" 1 (List.length (drops_of 2));
+  Alcotest.(check int) "flow 0 clean" 0 (List.length (drops_of 0))
 
 let tracer_per_flow_and_bytes () =
   let sched = Scheduler.create () in
   let pool = Pool.create () in
-  let tracer = Tracer.create () in
   let link =
     mk_link sched pool ~bandwidth:(Units.mbps 10.) ~delay:(Time.of_ms 1.)
       ~deliver:(Pool.free pool)
   in
-  Tracer.attach tracer pool link;
+  let events = trace_link link in
   List.iter (fun fl -> Link.send link (mk_packet ~flow:fl pool)) [ 0; 0; 1 ];
   Scheduler.run sched;
-  let arrivals = Tracer.per_flow_counts tracer Tracer.Arrive in
-  Alcotest.(check (option int)) "flow 0 twice" (Some 2) (Hashtbl.find_opt arrivals 0);
-  Alcotest.(check (option int)) "flow 1 once" (Some 1) (Hashtbl.find_opt arrivals 1);
-  let bytes = Tracer.delivered_bytes_between tracer ~link:"l" 0. 10. in
+  let evs = events () in
+  let arrivals flow =
+    List.length
+      (List.filter
+         (fun e ->
+           e.kind = Telemetry.Event_bus.Arrival
+           && e.flow = flow)
+         evs)
+  in
+  Alcotest.(check int) "flow 0 twice" 2 (arrivals 0);
+  Alcotest.(check int) "flow 1 once" 1 (arrivals 1);
+  let bytes =
+    List.fold_left
+      (fun acc e ->
+        if
+          e.kind = Telemetry.Event_bus.Depart
+          && e.link = "l"
+          && e.time < 10.
+        then acc + e.bytes
+        else acc)
+      0 evs
+  in
   Alcotest.(check int) "all bytes delivered" 3000 bytes
 
 let tracer_text_format () =
   let sched = Scheduler.create () in
   let pool = Pool.create () in
-  let tracer = Tracer.create () in
   let link =
     Link.create sched ~name:"bottleneck" ~bandwidth:(Units.mbps 10.)
       ~delay:(Time.of_ms 1.)
@@ -754,47 +811,21 @@ let tracer_text_format () =
       ~pool
       ~deliver:(Pool.free pool)
   in
-  Tracer.attach tracer pool link;
+  let events = trace_link link in
   Link.send link (mk_packet ~flow:7 ~seq:42 pool);
   Scheduler.run sched;
-  let line = Format.asprintf "%a" Tracer.pp_event (Tracer.events tracer).(0) in
-  Alcotest.(check bool) "has link name" true (Astring_like.contains line "bottleneck");
-  Alcotest.(check bool) "has flow" true (Astring_like.contains line "flow=7");
-  Alcotest.(check bool) "has seq" true (Astring_like.contains line "seq=42");
-  Alcotest.(check bool) "arrive marker" true (String.length line > 0 && line.[0] = '+')
-
-let tracer_attach_bus_matches_attach () =
-  (* Two identical links: one watched directly, one through the bus. The
-     tracer must record the same trace either way. *)
-  let record via =
-    let sched = Scheduler.create () in
-    let pool = Pool.create () in
-    let tracer = Tracer.create () in
-    let link =
-      mk_link ~capacity:1 sched pool ~bandwidth:(Units.kbps 8.) ~delay:(Time.of_ms 1.)
-        ~deliver:(Pool.free pool)
-    in
-    via tracer pool link;
-    List.iter (fun i -> Link.send link (mk_packet ~flow:i ~seq:i pool)) [ 0; 1; 2 ];
-    Scheduler.run sched;
-    Array.to_list
-      (Array.map
-         (fun e -> (e.Tracer.kind, e.Tracer.flow, e.Tracer.seq, e.Tracer.time))
-         (Tracer.events tracer))
+  let line =
+    match Telemetry.Event_bus.ns_line (List.hd (events ())).ev with
+    | Some l -> l
+    | None -> Alcotest.fail "packet event has no ns line"
   in
-  let direct = record Tracer.attach in
-  let bused =
-    record (fun tracer _pool link ->
-        let bus = Telemetry.Event_bus.create () in
-        Tracer.attach_bus tracer bus;
-        Link.publish link bus;
-        (* Non-packet traffic on the bus is ignored by the tracer. *)
-        Telemetry.Event_bus.publish bus
-          (Telemetry.Event_bus.Tcp
-             { time = 0.; kind = Telemetry.Event_bus.Timeout; flow = 0; cwnd = 1. }))
-  in
-  Alcotest.(check int) "same event count" (List.length direct) (List.length bused);
-  Alcotest.(check bool) "identical traces" true (direct = bused)
+  Alcotest.(check string) "ns line" "+ 0.000000 bottleneck flow=7 seq=42 1000B"
+    line;
+  Alcotest.(check bool) "tcp events have none" true
+    (Telemetry.Event_bus.ns_line
+       (Telemetry.Event_bus.Tcp
+          { time = 0.; kind = Telemetry.Event_bus.Timeout; flow = 0; cwnd = 1. })
+    = None)
 
 let link_queue_high_water_mark () =
   let sched = Scheduler.create () in
@@ -1045,8 +1076,6 @@ let suite =
         Alcotest.test_case "records packet lifecycle" `Quick tracer_records_lifecycle;
         Alcotest.test_case "per-flow counts and bytes" `Quick tracer_per_flow_and_bytes;
         Alcotest.test_case "text format" `Quick tracer_text_format;
-        Alcotest.test_case "bus attachment matches direct" `Quick
-          tracer_attach_bus_matches_attach;
       ] );
     ( "net.properties",
       [

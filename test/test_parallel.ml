@@ -278,6 +278,49 @@ let pdes_hybrid_deterministic_across_shards () =
     "1-shard vs 4-shard bit-identical with background load" (fingerprint 1)
     (fingerprint 4)
 
+let pdes_recording_invariant_across_shards () =
+  (* The hub and every shard record into their own lanes; the end-of-run
+     canonical merge makes the decoded recording — lifecycle records,
+     run markers and burst summaries included — independent of how the
+     clients were split. 30 clients for 5 s drive RED into early and
+     forced drops, so every parity kind family is present. *)
+  let decoded shards =
+    let probe = Telemetry.Probe.create () in
+    Telemetry.Probe.set_recording probe Telemetry.Recorder.default_config;
+    Telemetry.Probe.set_burst probe (Some Telemetry.Burst.default_config);
+    let cfg =
+      {
+        (Burstcore.Config.with_clients Burstcore.Config.default 30) with
+        Burstcore.Config.duration_s = 5.;
+        warmup_s = 1.;
+        shards;
+      }
+    in
+    ignore (Burstcore.Run.run ~probe cfg Burstcore.Scenario.reno_red);
+    let buf = Buffer.create (1 lsl 16) in
+    List.iter
+      (fun r ->
+        let lookup = Telemetry.Recorder.lookup r in
+        Telemetry.Recorder.iter_merged r (fun ~lane:_ ~seq:_ words off ->
+            Buffer.add_string buf
+              (Telemetry.Record.ndjson_of_record ~lookup words off);
+            Buffer.add_char buf '\n'))
+      (Telemetry.Probe.segments probe);
+    Buffer.contents buf
+  in
+  let one = decoded 1 in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " records present") true
+        (Astring_like.contains one (Printf.sprintf "{\"event\":%S" kind)))
+    [ "packet"; "tcp"; "queue"; "phase"; "rtt"; "run"; "burst" ];
+  List.iter
+    (fun shards ->
+      Alcotest.(check string)
+        (Printf.sprintf "1-shard vs %d-shard decoded recording" shards)
+        one (decoded shards))
+    [ 2; 4 ]
+
 let pdes_rejects_prepare_and_udp () =
   Alcotest.(check bool) "?prepare rejected under shards >= 1" true
     (try
@@ -338,6 +381,8 @@ let suite =
           pdes_shards_exceeding_clients_clamp;
         Alcotest.test_case "hybrid background bit-identical across shards"
           `Quick pdes_hybrid_deterministic_across_shards;
+        Alcotest.test_case "recording invariant across shards" `Quick
+          pdes_recording_invariant_across_shards;
         Alcotest.test_case "rejects prepare and UDP" `Quick
           pdes_rejects_prepare_and_udp;
       ] );

@@ -258,29 +258,7 @@ let sample_events =
         flow = 2;
         avg = 7.5;
       };
-    Event_bus.Custom { time = 4.; name = "phase_mark"; value = 1. };
   ]
-
-let bus_pub_sub_order () =
-  let bus = Event_bus.create () in
-  Alcotest.(check bool) "no subscribers" false (Event_bus.has_subscribers bus);
-  let log = ref [] in
-  let _s1 = Event_bus.subscribe bus (fun _ -> log := "a" :: !log) in
-  let s2 = Event_bus.subscribe bus (fun _ -> log := "b" :: !log) in
-  Alcotest.(check bool) "has subscribers" true (Event_bus.has_subscribers bus);
-  Event_bus.publish bus (List.hd sample_events);
-  Alcotest.(check (list string)) "subscription order" [ "a"; "b" ] (List.rev !log);
-  Event_bus.unsubscribe bus s2;
-  Event_bus.unsubscribe bus s2 (* no-op *);
-  Event_bus.publish bus (List.hd sample_events);
-  Alcotest.(check (list string)) "after unsubscribe" [ "a"; "b"; "a" ] (List.rev !log);
-  Alcotest.(check int) "published counts everything" 2 (Event_bus.published bus)
-
-let bus_published_without_subscribers () =
-  let bus = Event_bus.create () in
-  List.iter (Event_bus.publish bus) sample_events;
-  Alcotest.(check int) "counter still bumps" (List.length sample_events)
-    (Event_bus.published bus)
 
 let bus_ndjson_roundtrip () =
   List.iter
@@ -339,11 +317,6 @@ let event_gen =
           (tup5 time
              (oneofl [ Event_bus.Ecn_mark; Event_bus.Early_drop; Event_bus.Forced_drop ])
              name pos pos) );
-      ( 1,
-        map
-          (fun (time, name, v) ->
-            Event_bus.Custom { time; name; value = float_of_int v /. 2. })
-          (triple time name pos) );
     ]
 
 let bus_roundtrip_property =
@@ -808,26 +781,32 @@ let probe_instruments_a_run () =
   | Error e -> Alcotest.failf "run report invalid: %s" e
 
 let probe_bus_sees_packet_and_tcp_events () =
+  (* The decoded view of a parity recording carries the run's packet and
+     congestion events in time order, one per parity record. *)
   let probe = Probe.create () in
-  let packets = ref 0 and tcp = ref 0 and last_time = ref 0. in
-  let monotone = ref true in
-  ignore
-    (Event_bus.subscribe probe.Probe.bus (fun e ->
-         let t = Event_bus.time e in
-         if t < !last_time then monotone := false;
-         last_time := t;
-         match e with
-         | Event_bus.Packet _ -> incr packets
-         | Event_bus.Tcp _ -> incr tcp
-         | _ -> ()));
+  Probe.set_recording probe { Recorder.default_config with lifecycle = false };
   (* 20 clients against Table 1's 10-packet buffer forces loss events. *)
   ignore (Burstcore.Run.run ~probe (small_config 20) Burstcore.Scenario.reno);
+  let packets = ref 0 and tcp = ref 0 and last_time = ref 0. in
+  let monotone = ref true in
+  let segments = Probe.segments probe in
+  List.iter
+    (fun r ->
+      Recorder.iter_events r (fun e ->
+          let t = Event_bus.time e in
+          if t < !last_time then monotone := false;
+          last_time := t;
+          match e with
+          | Event_bus.Packet _ -> incr packets
+          | Event_bus.Tcp _ -> incr tcp
+          | Event_bus.Queue _ -> ()))
+    segments;
   Alcotest.(check bool) "packet events flow" true (!packets > 0);
   Alcotest.(check bool) "congestion produces tcp events" true (!tcp > 0);
   Alcotest.(check bool) "timestamps non-decreasing" true !monotone;
-  Alcotest.(check int) "published matches deliveries"
+  Alcotest.(check int) "one event per parity record"
     (!packets + !tcp)
-    (Event_bus.published probe.Probe.bus)
+    (List.fold_left (fun acc r -> acc + Recorder.total_recorded r) 0 segments)
 
 let probe_run_deterministic_under_telemetry () =
   let run probe = Burstcore.Run.run ?probe (small_config 5) Burstcore.Scenario.reno in
@@ -920,6 +899,51 @@ let recorder_merges_lanes_by_tick_then_lane () =
     "merge order"
     [ (0, 0); (1, 5); (0, 10); (1, 10); (1, 15); (0, 20) ]
     (List.rev !got)
+
+let recorder_canonical_merge_ignores_lanes () =
+  (* The same records spread over lanes two different ways merge to one
+     identical lane 0. Ties on tick follow the decoded line (arrival,
+     then drop, then the tcp event), not lane or insertion order, and a
+     ring lane's drops carry over into the merged lane's accounting. *)
+  let records =
+    [
+      (10, Record.packet_drop, 3); (10, Record.packet_arrival, 12);
+      (5, Record.packet_arrival, 7); (10, Record.tcp_timeout, 1);
+      (20, Record.packet_depart, 3); (5, Record.packet_arrival, 2);
+    ]
+  in
+  let merged split =
+    let r = Recorder.create (rcfg ~overflow:Recorder.Grow ()) in
+    let sid = Recorder.intern r "bottleneck" in
+    List.iter
+      (fun (tick, kind, flow) ->
+        Recorder.record (Recorder.lane r (split flow)) ~tick ~kind ~flow ~a:flow
+          ~b:1500 ~c:0 ~sid ~depth:0)
+      records;
+    Recorder.merge_canonical r;
+    let got = ref [] in
+    Recorder.iter_merged r (fun ~lane ~seq:_ buf off ->
+        got := (lane, buf.(off), buf.(off + 2)) :: !got);
+    (List.length (Recorder.lanes r), List.rev !got)
+  in
+  let one = merged (fun _ -> 0) and four = merged (fun flow -> 3 - (flow mod 4)) in
+  Alcotest.(check (pair int (list (triple int int int))))
+    "split-invariant, (tick, line) order"
+    (1, [ (0, 5, 2); (0, 5, 7); (0, 10, 12); (0, 10, 3); (0, 10, 1); (0, 20, 3) ])
+    one;
+  Alcotest.(check (pair int (list (triple int int int)))) "four lanes" one four;
+  let r = Recorder.create (rcfg ()) in
+  fill (Recorder.lane r 0) 40;
+  fill (Recorder.lane r 1) 10;
+  Recorder.merge_canonical r;
+  let lane = Recorder.lane r 0 in
+  Alcotest.(check int) "recorded summed" 50 (Recorder.recorded lane);
+  Alcotest.(check int) "dropped summed" 24 (Recorder.lane_dropped lane);
+  Alcotest.(check int) "retained" 26 (Recorder.retained lane);
+  let seqs = ref [] in
+  Recorder.iter_lane lane (fun ~seq _ _ -> seqs := seq :: !seqs);
+  Alcotest.(check (list int)) "retained seqs" (List.init 26 (fun i -> 24 + i))
+    (List.rev !seqs)
 
 let with_temp_file f =
   let path = Filename.temp_file "burstsim_rec" ".bin" in
@@ -1674,9 +1698,6 @@ let suite =
       ] );
     ( "telemetry.event_bus",
       [
-        Alcotest.test_case "pub/sub order" `Quick bus_pub_sub_order;
-        Alcotest.test_case "published without subscribers" `Quick
-          bus_published_without_subscribers;
         Alcotest.test_case "ndjson round-trip" `Quick bus_ndjson_roundtrip;
         Alcotest.test_case "event field first" `Quick bus_ndjson_event_field_first;
         Alcotest.test_case "rejects garbage" `Quick bus_of_json_rejects_garbage;
@@ -1746,6 +1767,8 @@ let suite =
           recorder_grow_keeps_everything;
         Alcotest.test_case "merge by (tick, lane, seq)" `Quick
           recorder_merges_lanes_by_tick_then_lane;
+        Alcotest.test_case "canonical merge ignores lanes" `Quick
+          recorder_canonical_merge_ignores_lanes;
         Alcotest.test_case "segment round-trip" `Quick
           recorder_segment_round_trip;
         Alcotest.test_case "spill flushes chunks" `Quick
