@@ -74,6 +74,68 @@ let gateway_queue ?recorder cfg scenario rng pool =
   | Scenario.Red_adaptive -> red ~ecn_mark:false ~adaptive:true
   | Scenario.Sfq_gw -> Queue_disc.sfq ~pool ~capacity:cfg.Config.buffer_packets ()
 
+(* Per-client propagation delays: homogeneous by default, optionally
+   spread uniformly around tau_c (floored at [delay_floor_s]) to break
+   RTT synchronization. *)
+let delay_floor_s = 1e-4
+
+let client_delay_bounds_s cfg =
+  let d = cfg.Config.client_delay_s
+  and spread = cfg.Config.client_delay_spread_s in
+  if spread = 0. then (d, d)
+  else (Stdlib.max delay_floor_s (d -. (spread /. 2.)), d +. (spread /. 2.))
+
+let client_delays cfg =
+  let n = cfg.Config.clients in
+  let spread = cfg.Config.client_delay_spread_s in
+  if spread = 0. then Array.make n (Time.of_sec cfg.Config.client_delay_s)
+  else begin
+    let delay_rng =
+      Rng.split_named (Rng.create ~seed:cfg.Config.seed) "client-delays"
+    in
+    Array.init n (fun _ ->
+        let jitter = (Rng.float delay_rng -. 0.5) *. spread in
+        Time.of_sec
+          (Stdlib.max delay_floor_s (cfg.Config.client_delay_s +. jitter)))
+  end
+
+let start_sources cfg sched ~lo ~n ~sink =
+  let master = Rng.create ~seed:cfg.Config.seed in
+  let until = Time.of_sec cfg.Config.duration_s in
+  Array.init n (fun j ->
+      let i = lo + j in
+      let rng = Rng.split_named master (Printf.sprintf "client-%d" i) in
+      let start =
+        if cfg.Config.start_stagger_s > 0. then
+          Time.of_sec (Rng.float rng *. cfg.Config.start_stagger_s)
+        else Time.zero
+      in
+      Traffic.Poisson.start sched ~rng
+        ~mean_interarrival:cfg.Config.mean_interarrival_s ~start ~until
+        ~sink:(sink i))
+
+let tcp_groups ?recorder cfg scenario ~capacity sched ~pool ~transmit_data
+    ~transmit_ack =
+  match scenario.Scenario.transport with
+  | Scenario.Udp -> invalid_arg "Dumbbell.tcp_groups: UDP scenario"
+  | Scenario.Tcp { cc; delayed_ack } ->
+      let ecn_capable = scenario.Scenario.gateway = Scenario.Red_ecn in
+      let sack = cc = Scenario.Sack in
+      let variant, vegas = make_cc cfg cc in
+      let sender_group =
+        Transport.Tcp_sender.create_group ~ecn_capable ~sack
+          ~cwnd_validation:cfg.Config.cwnd_validation ~pacing:cfg.Config.pacing
+          ?recorder ?vegas ~capacity sched ~pool ~cc:variant
+          ~rto_params:cfg.Config.rto ~mss_bytes:cfg.Config.packet_bytes
+          ~adv_window:cfg.Config.adv_window ~transmit:transmit_data
+      in
+      let receiver_group =
+        Transport.Tcp_receiver.create_group ~sack ?recorder ~capacity sched
+          ~pool ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack
+          ~adv_window:cfg.Config.adv_window ~transmit:transmit_ack
+      in
+      (sender_group, receiver_group)
+
 let create ?recorder ?(trace_clients = []) cfg scenario =
   Config.validate cfg;
   (* The whole topology records into lane 0, resolved once here. The RED
@@ -105,21 +167,7 @@ let create ?recorder ?(trace_clients = []) cfg scenario =
   let client_nodes = Array.init n (fun i -> Node.create ~id:(client_id i) ~pool) in
   let client_bw = Units.mbps cfg.Config.client_bandwidth_mbps in
   let bottleneck_bw = Units.mbps cfg.Config.bottleneck_bandwidth_mbps in
-  (* Per-client propagation delays: homogeneous by default, optionally
-     spread uniformly around tau_c to break RTT synchronization. *)
-  let client_delay =
-    let spread = cfg.Config.client_delay_spread_s in
-    if spread = 0. then fun _ -> Time.of_sec cfg.Config.client_delay_s
-    else begin
-      let delay_rng = Rng.split_named rng "client-delays" in
-      let delays =
-        Array.init n (fun _ ->
-            let jitter = (Rng.float delay_rng -. 0.5) *. spread in
-            Time.of_sec (Stdlib.max 1e-4 (cfg.Config.client_delay_s +. jitter)))
-      in
-      fun i -> delays.(i)
-    end
-  in
+  let client_delay = client_delays cfg in
   let bottleneck_delay = Time.of_sec cfg.Config.bottleneck_delay_s in
   let gateway_queue = gateway_queue ?recorder:lane cfg scenario rng pool in
   (match lifecycle_lane with
@@ -143,7 +191,7 @@ let create ?recorder ?(trace_clients = []) cfg scenario =
     Array.init n (fun i ->
         Link.create sched
           ~name:(Printf.sprintf "up-%d" i)
-          ~bandwidth:client_bw ~delay:(client_delay i)
+          ~bandwidth:client_bw ~delay:client_delay.(i)
           ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
           ~pool
           ~deliver:(Router.receive router))
@@ -152,7 +200,7 @@ let create ?recorder ?(trace_clients = []) cfg scenario =
     Array.init n (fun i ->
         Link.create sched
           ~name:(Printf.sprintf "down-%d" i)
-          ~bandwidth:client_bw ~delay:(client_delay i)
+          ~bandwidth:client_bw ~delay:client_delay.(i)
           ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
           ~pool
           ~deliver:(Node.receive client_nodes.(i)))
@@ -166,26 +214,11 @@ let create ?recorder ?(trace_clients = []) cfg scenario =
   let flows =
     match scenario.Scenario.transport with
     | Scenario.Udp -> None
-    | Scenario.Tcp { cc; delayed_ack } ->
-        let ecn_capable = scenario.Scenario.gateway = Scenario.Red_ecn in
-        let sack = cc = Scenario.Sack in
-        let variant, vegas = make_cc cfg cc in
-        let sender_group =
-          Transport.Tcp_sender.create_group ~ecn_capable ~sack
-            ~cwnd_validation:cfg.Config.cwnd_validation
-            ~pacing:cfg.Config.pacing ?recorder:lane ?vegas ~capacity:n sched
-            ~pool ~cc:variant ~rto_params:cfg.Config.rto
-            ~mss_bytes:cfg.Config.packet_bytes
-            ~adv_window:cfg.Config.adv_window
-            ~transmit:(fun ~flow p -> Link.send up_links.(flow) p)
-        in
-        let receiver_group =
-          Transport.Tcp_receiver.create_group ~sack ?recorder:lane ~capacity:n
-            sched ~pool ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack
-            ~adv_window:cfg.Config.adv_window
-            ~transmit:(fun ~flow:_ p -> Link.send reverse_bottleneck p)
-        in
-        Some (sender_group, receiver_group)
+    | Scenario.Tcp _ ->
+        Some
+          (tcp_groups ?recorder:lane cfg scenario ~capacity:n sched ~pool
+             ~transmit_data:(fun ~flow p -> Link.send up_links.(flow) p)
+             ~transmit_ack:(fun ~flow:_ p -> Link.send reverse_bottleneck p))
   in
   let endpoints =
     Array.init n (fun i ->
@@ -272,29 +305,26 @@ let per_client_delivered t =
 
 let delivered_total t = Array.fold_left ( + ) 0 (per_client_delivered t)
 
-let tcp_stats_total t =
+(* [f] folded over the TCP senders (none for UDP). *)
+let fold_senders f init t =
   Array.fold_left
-    (fun acc ep ->
-      match ep with
-      | Tcp_end (sender, _) ->
-          Transport.Tcp_stats.add acc (Transport.Tcp_sender.stats sender)
-      | Udp_end _ -> acc)
-    (Transport.Tcp_stats.create ()) t.endpoints
+    (fun acc -> function Tcp_end (sender, _) -> f acc sender | Udp_end _ -> acc)
+    init t.endpoints
+
+let tcp_stats_total t =
+  fold_senders
+    (fun acc s -> Transport.Tcp_stats.add acc (Transport.Tcp_sender.stats s))
+    (Transport.Tcp_stats.create ()) t
 
 let gateway_queue_high_water_mark t = Queue_disc.high_water_mark t.gateway_queue
 
-let gateway_marks t =
-  match t.gateway_queue with
+let gateway_marks gateway_queue =
+  match gateway_queue with
   | Queue_disc.Red red -> Netsim.Red.marks red
   | Queue_disc.Droptail _ | Queue_disc.Sfq _ -> 0
 
-let ecn_reactions_total t =
-  Array.fold_left
-    (fun acc ep ->
-      match ep with
-      | Tcp_end (sender, _) -> acc + Transport.Tcp_sender.ecn_reactions sender
-      | Udp_end _ -> acc)
-    0 t.endpoints
+let ecn_reactions_total =
+  fold_senders (fun acc s -> acc + Transport.Tcp_sender.ecn_reactions s) 0
 
 let segments_sent_total t =
   Array.fold_left
@@ -317,30 +347,17 @@ let release_flows t =
       | Udp_end _ -> ())
     t.endpoints
 
-let flows_live t =
+(* [f] summed over the sender and receiver tables. *)
+let flow_tables f t =
   match t.flows with
   | None -> 0
   | Some (sg, rg) ->
-      Netsim.Flow_table.live (Transport.Tcp_sender.table sg)
-      + Netsim.Flow_table.live (Transport.Tcp_receiver.table rg)
+      f (Transport.Tcp_sender.table sg) + f (Transport.Tcp_receiver.table rg)
 
-let flow_table_growths t =
-  match t.flows with
-  | None -> 0
-  | Some (sg, rg) ->
-      Netsim.Flow_table.growth_count (Transport.Tcp_sender.table sg)
-      + Netsim.Flow_table.growth_count (Transport.Tcp_receiver.table rg)
+let flows_live = flow_tables Netsim.Flow_table.live
 
-let flow_table_bytes_per_flow t =
-  match t.flows with
-  | None -> 0
-  | Some (sg, rg) ->
-      Netsim.Flow_table.bytes_per_flow (Transport.Tcp_sender.table sg)
-      + Netsim.Flow_table.bytes_per_flow (Transport.Tcp_receiver.table rg)
+let flow_table_growths = flow_tables Netsim.Flow_table.growth_count
 
-let flow_table_footprint_bytes t =
-  match t.flows with
-  | None -> 0
-  | Some (sg, rg) ->
-      Netsim.Flow_table.footprint_bytes (Transport.Tcp_sender.table sg)
-      + Netsim.Flow_table.footprint_bytes (Transport.Tcp_receiver.table rg)
+let flow_table_bytes_per_flow = flow_tables Netsim.Flow_table.bytes_per_flow
+
+let flow_table_footprint_bytes = flow_tables Netsim.Flow_table.footprint_bytes

@@ -25,12 +25,65 @@ val create :
     record a congestion-window trace; tracing costs boxed floats per
     ACK, so it is opt-in. *)
 
+(** {2 Topology facts shared with the sharded builder}
+
+    {!Pdes} splits this dumbbell across domains and takes these from
+    here, so the engines cannot drift on ids, delays, RNG streams or
+    transport parameters. *)
+
+val lossless_capacity : int
+(** Buffer of every access and reverse link: only the gateway buffer is
+    finite in the paper's model. *)
+
+val server_id : int
+
+val client_id : int -> int
+(** Node id of client [i]. *)
+
 val make_cc :
   Config.t ->
   Scenario.cc_kind ->
   Transport.Cc.variant * Transport.Cc.vegas_params option
-(** The congestion-control variant tag plus its parameters, if any —
-    shared with the sharded {!Pdes} builder. *)
+(** The congestion-control variant tag plus its parameters, if any. *)
+
+val client_delays : Config.t -> Sim_engine.Time.t array
+(** Per-client access-link propagation delay: [client_delay_s] for every
+    client, or — when [client_delay_spread_s > 0] — drawn in client order
+    from the ["client-delays"] stream, uniform on tau_c +/- spread/2 and
+    floored at 0.1 ms. *)
+
+val client_delay_bounds_s : Config.t -> float * float
+(** [(lo, hi)] in seconds: every entry of {!client_delays} lies in
+    [\[lo, hi\]] (after rounding to ticks). {!Pdes.window_s} takes its
+    lookahead from [lo]. *)
+
+val start_sources :
+  Config.t ->
+  Sim_engine.Scheduler.t ->
+  lo:int ->
+  n:int ->
+  sink:(int -> int -> unit) ->
+  Traffic.Source.t array
+(** Start the Poisson sources of clients [lo .. lo + n - 1]: client [i]
+    draws from its own ["client-<i>"] stream of the run seed, starts at
+    a uniform offset in [\[0, start_stagger_s\]] and writes into
+    [sink i] until [duration_s]. The streams depend only on [i], so a
+    shard can start its own slice. *)
+
+val tcp_groups :
+  ?recorder:Telemetry.Recorder.lane ->
+  Config.t ->
+  Scenario.t ->
+  capacity:int ->
+  Sim_engine.Scheduler.t ->
+  pool:Netsim.Packet_pool.t ->
+  transmit_data:(flow:int -> Netsim.Packet_pool.handle -> unit) ->
+  transmit_ack:(flow:int -> Netsim.Packet_pool.handle -> unit) ->
+  Transport.Tcp_sender.group * Transport.Tcp_receiver.group
+(** The scenario's sender and receiver flow-table groups, sized for
+    [capacity] flows: senders put data on [transmit_data], receivers
+    put ACKs on [transmit_ack].
+    @raise Invalid_argument for a UDP scenario. *)
 
 val gateway_queue :
   ?recorder:Telemetry.Recorder.lane ->
@@ -41,7 +94,7 @@ val gateway_queue :
   Netsim.Queue_disc.t
 (** Build the scenario's gateway queue discipline (RED splits
     ["red-gateway"] off the given master RNG, and records its decisions
-    into [recorder] when given) — shared with {!Pdes}. *)
+    into [recorder] when given). *)
 
 val scheduler : t -> Sim_engine.Scheduler.t
 
@@ -86,8 +139,9 @@ val segments_sent_total : t -> int
 val gateway_queue_high_water_mark : t -> int
 (** Peak gateway queue occupancy (packets) seen so far. *)
 
-val gateway_marks : t -> int
-(** ECN CE marks applied by the gateway queue (0 for FIFO / non-ECN RED). *)
+val gateway_marks : Netsim.Queue_disc.t -> int
+(** ECN CE marks applied by a gateway queue (0 for FIFO / SFQ / non-ECN
+    RED). *)
 
 val ecn_reactions_total : t -> int
 (** Window reductions the senders performed in response to ECE echoes. *)

@@ -194,7 +194,13 @@ let read_sack buf o =
   in
   if n = 0 then [] else build (n - 1) []
 
-let import_packet pool buf o =
+let make_inbox srcs isched bufs import =
+  { bufs; order = [||]; srcs; cmp = make_cmp srcs; isched; import }
+
+(* Rehydrate the message behind keyed import event [key] (rotation slot
+   in the high bits, message index in the low 40) into [pool]. *)
+let import_packet pool bufs key =
+  let buf = bufs.(key lsr 40).Msgs.buf and o = (key land idx_mask) * stride in
   Packet_pool.import pool ~uid:buf.(o + 1) ~flow:buf.(o + 2) ~src:buf.(o + 3)
     ~dst:buf.(o + 4) ~size_bytes:buf.(o + 5) ~word:buf.(o + 6)
     ~sent_at:(Time.of_ns buf.(o + 7))
@@ -237,33 +243,24 @@ let merge_window inbox ~window =
 (* ------------------------------------------------------------------ *)
 (* Window size: the conservative lookahead *)
 
-let min_client_delay_s cfg =
-  if cfg.Config.client_delay_spread_s = 0. then cfg.Config.client_delay_s
-  else
-    Stdlib.max 1e-4
-      (cfg.Config.client_delay_s -. (cfg.Config.client_delay_spread_s /. 2.))
-
 let window_s cfg =
-  Stdlib.min cfg.Config.bottleneck_delay_s (min_client_delay_s cfg)
+  Stdlib.min cfg.Config.bottleneck_delay_s
+    (fst (Dumbbell.client_delay_bounds_s cfg))
 
 let max_lag_s cfg =
   Stdlib.max cfg.Config.bottleneck_delay_s
-    (cfg.Config.client_delay_s +. (cfg.Config.client_delay_spread_s /. 2.))
+    (snd (Dumbbell.client_delay_bounds_s cfg))
 
 (* ------------------------------------------------------------------ *)
-
-let lossless_capacity = 1_000_000
 
 let run ?probe ?(trace_clients = []) ?(sample_queue = false)
     ?(measure_sync = false) cfg scenario =
   Config.validate cfg;
   if cfg.Config.shards < 1 then invalid_arg "Pdes.run: shards < 1";
-  let cc, delayed_ack =
-    match scenario.Scenario.transport with
-    | Scenario.Tcp { cc; delayed_ack } -> (cc, delayed_ack)
-    | Scenario.Udp ->
-        invalid_arg "Pdes.run: UDP scenarios need the classic engine (shards = 0)"
-  in
+  (match scenario.Scenario.transport with
+  | Scenario.Tcp _ -> ()
+  | Scenario.Udp ->
+      invalid_arg "Pdes.run: UDP scenarios need the classic engine (shards = 0)");
   let n = cfg.Config.clients in
   let shards_n = Stdlib.min cfg.Config.shards n in
   let time name f = Telemetry.Probe.time probe name f in
@@ -275,18 +272,13 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
      starts, so each domain only ever writes its own lane. Run markers
      and summaries carry the classic engine's K-free label. *)
   let recorder =
-    match probe with
-    | Some p -> Telemetry.Probe.start_recorder p ~label:run_label
-    | None -> None
+    Option.bind probe (Telemetry.Probe.start_recorder ~label:run_label)
   in
   let lane id = Option.map (fun r -> Recorder.lane r id) recorder in
   let hlane = lane 0 in
   let lifecycle_hub =
-    match (recorder, hlane) with
-    | Some r, Some l when Recorder.lifecycle r ->
-        let label = Printf.sprintf "%s n=%d" (Scenario.label scenario) n in
-        Some (l, Recorder.intern r label)
-    | _ -> None
+    Plane.lifecycle recorder
+      ~label:(Printf.sprintf "%s n=%d" (Scenario.label scenario) n)
   in
   let horizon = Time.of_sec cfg.Config.duration_s in
   let wspan = Stdlib.max 1 (Time.to_ns (Time.of_sec (window_s cfg))) in
@@ -301,22 +293,8 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
       shard_of.(i) <- s
     done
   done;
-  (* Per-client propagation delays, drawn in client order from the same
-     named stream as the classic engine — one global pass so the draws
-     are independent of the sharding. *)
-  let delays =
-    let spread = cfg.Config.client_delay_spread_s in
-    if spread = 0. then
-      Array.make n (Time.of_sec cfg.Config.client_delay_s)
-    else begin
-      let delay_rng =
-        Rng.split_named (Rng.create ~seed:cfg.Config.seed) "client-delays"
-      in
-      Array.init n (fun _ ->
-          let jitter = (Rng.float delay_rng -. 0.5) *. spread in
-          Time.of_sec (Stdlib.max 1e-4 (cfg.Config.client_delay_s +. jitter)))
-    end
-  in
+  (* One global pass, so the delays are independent of the sharding. *)
+  let delays = Dumbbell.client_delays cfg in
   (* Per-flow uid counters: uids become a pure function of per-flow
      history, so they cannot leak cross-flow allocation interleaving
      (which is the one thing that differs between shardings). *)
@@ -329,19 +307,8 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
   let client_bw = Units.mbps cfg.Config.client_bandwidth_mbps in
   let bottleneck_bw = Units.mbps cfg.Config.bottleneck_bandwidth_mbps in
   let bottleneck_delay = Time.of_sec cfg.Config.bottleneck_delay_s in
-  let server_id = 0 in
-  let client_id i = i + 1 in
-  let ( hub,
-        shards,
-        binner,
-        burst_state,
-        hybrid,
-        per_flow_binners,
-        drop_run_list,
-        delay_stats,
-        delay_p99,
-        queue_series,
-        inboxes ) =
+  let lossless () = Queue_disc.droptail ~capacity:Dumbbell.lossless_capacity in
+  let hub, shards, plane, hub_inbox, shard_inboxes =
     time "setup" (fun () ->
         (* --- hub ------------------------------------------------- *)
         let hsched =
@@ -376,7 +343,7 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
         let reverse =
           Link.create hsched ~name:"bottleneck-rev" ~bandwidth:bottleneck_bw
             ~delay:Time.zero
-            ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
+            ~queue:(lossless ())
             ~pool:hpool
             ~deliver:(fun _ -> assert false)
         in
@@ -388,9 +355,6 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
         Option.iter (Link.record bottleneck) hlane;
         let hub = { hsched; hpool; bottleneck; reverse; gateway; hout } in
         (* --- shards ---------------------------------------------- *)
-        let ecn_capable = scenario.Scenario.gateway = Scenario.Red_ecn in
-        let sack = cc = Scenario.Sack in
-        let variant, vegas = Dumbbell.make_cc cfg cc in
         let shards =
           Array.init shards_n (fun s ->
               let lo = lo_of s in
@@ -412,7 +376,7 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
                       Link.create sched
                         ~name:(Printf.sprintf "up-%d" i)
                         ~bandwidth:client_bw ~delay:delays.(i)
-                        ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
+                        ~queue:(lossless ())
                         ~pool
                         ~deliver:(fun _ -> assert false)
                     in
@@ -420,25 +384,15 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
                         Msgs.ship out pool arrival h);
                     link)
               in
-              let sender_group =
-                Transport.Tcp_sender.create_group ~ecn_capable ~sack
-                  ~cwnd_validation:cfg.Config.cwnd_validation
-                  ~pacing:cfg.Config.pacing ?recorder:slane ?vegas
-                  ~capacity:n_local sched
-                  ~pool ~cc:variant ~rto_params:cfg.Config.rto
-                  ~mss_bytes:cfg.Config.packet_bytes
-                  ~adv_window:cfg.Config.adv_window
-                  ~transmit:(fun ~flow p -> Link.send up_links.(flow - lo) p)
-              in
               (* The receiver's ACK leaves the server for the reverse
                  bottleneck; that crossing's propagation is pre-applied
                  here so the hub half can serialize with zero delay. *)
-              let receiver_group =
-                Transport.Tcp_receiver.create_group ~sack ?recorder:slane
-                  ~capacity:n_local
-                  sched ~pool ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack
-                  ~adv_window:cfg.Config.adv_window
-                  ~transmit:(fun ~flow:_ p ->
+              let sender_group, receiver_group =
+                Dumbbell.tcp_groups ?recorder:slane cfg scenario
+                  ~capacity:n_local sched ~pool
+                  ~transmit_data:(fun ~flow p ->
+                    Link.send up_links.(flow - lo) p)
+                  ~transmit_ack:(fun ~flow:_ p ->
                     Msgs.ship out pool
                       (Time.add (Scheduler.now sched) bottleneck_delay)
                       p)
@@ -447,21 +401,21 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
                 Array.init n_local (fun j ->
                     let i = lo + j in
                     Transport.Tcp_sender.attach sender_group ~flow:i
-                      ~src:(client_id i) ~dst:server_id
+                      ~src:(Dumbbell.client_id i) ~dst:Dumbbell.server_id
                       ~trace_cwnd:(List.mem i trace_clients) ())
               in
               let receivers =
                 Array.init n_local (fun j ->
                     let i = lo + j in
                     Transport.Tcp_receiver.attach receiver_group ~flow:i
-                      ~src:server_id ~dst:(client_id i) ())
+                      ~src:Dumbbell.server_id ~dst:(Dumbbell.client_id i) ())
               in
               let down_links =
                 Array.init n_local (fun j ->
                     Link.create sched
                       ~name:(Printf.sprintf "down-%d" (lo + j))
                       ~bandwidth:client_bw ~delay:Time.zero
-                      ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
+                      ~queue:(lossless ())
                       ~pool
                       ~deliver:(fun h ->
                         Transport.Tcp_sender.handle_packet senders.(j) h;
@@ -482,192 +436,54 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
                 sources = [||];
               })
         in
-        (* Poisson sources, per-client named streams as in the classic
-           engine; attached after construction like [Run.run]. *)
+        (* Poisson sources, attached after construction as in the
+           classic engine; each shard starts its own slice. *)
         Array.iter
           (fun sh ->
-            let master = Rng.create ~seed:cfg.Config.seed in
             sh.sources <-
-              Array.init sh.n_local (fun j ->
-                  let i = sh.lo + j in
-                  let rng =
-                    Rng.split_named master (Printf.sprintf "client-%d" i)
-                  in
-                  let start =
-                    if cfg.Config.start_stagger_s > 0. then
-                      Time.of_sec (Rng.float rng *. cfg.Config.start_stagger_s)
-                    else Time.zero
-                  in
-                  let sender = sh.senders.(j) in
-                  Traffic.Poisson.start sh.sched ~rng
-                    ~mean_interarrival:cfg.Config.mean_interarrival_s ~start
-                    ~until:horizon
-                    ~sink:(fun k -> Transport.Tcp_sender.write sender k)))
+              Dumbbell.start_sources cfg sh.sched ~lo:sh.lo ~n:sh.n_local
+                ~sink:(fun i ->
+                  let sender = sh.senders.(i - sh.lo) in
+                  fun k -> Transport.Tcp_sender.write sender k))
           shards;
         (* --- bottleneck-anchored measurement (all hub-side) ------- *)
-        (* Hybrid engine: the quantum tick lives on the hub scheduler and
-           reads only hub-local state (bottleneck counters, gateway
-           average), so the fluid coupling is invariant under the shard
-           count — the K-invariance guarantee extends to hybrid runs. *)
-        let hybrid =
-          if cfg.Config.background >= 1 then
-            Some (Hybrid.attach ~sched:hsched ~bottleneck cfg)
-          else None
-        in
-        let binner =
-          Netsim.Monitor.arrival_binner hpool bottleneck
-            ~origin:cfg.Config.warmup_s ~width:(Config.rtt_prop_s cfg)
-        in
-        let burst_state =
-          match probe with
-          | Some p -> (
-              match Telemetry.Probe.burst_config p with
-              | Some bc ->
-                  let burst =
-                    Telemetry.Burst.create ~levels:bc.Telemetry.Burst.levels
-                      ~origin:cfg.Config.warmup_s
-                      ~width:(Config.rtt_prop_s cfg) ()
-                  in
-                  Netsim.Monitor.arrival_burst hpool bottleneck burst;
-                  let osc =
-                    if bc.Telemetry.Burst.osc_enabled then begin
-                      let osc = Telemetry.Burst.Osc.create () in
-                      let qdisc = Link.queue_disc bottleneck in
-                      (match Queue_disc.avg_queue qdisc with
-                      | None ->
-                          Queue_disc.enable_avg qdisc ~w_q:cfg.Config.red_w_q
-                      | Some _ -> ());
-                      let base =
-                        match Queue_disc.avg_queue qdisc with
-                        | Some _ ->
-                            fun () ->
-                              Option.value ~default:0.
-                                (Queue_disc.avg_queue qdisc)
-                        | None ->
-                            fun () -> float_of_int (Link.queue_length bottleneck)
-                      in
-                      let signal =
-                        match (hybrid, qdisc) with
-                        | Some h, (Queue_disc.Droptail _ | Queue_disc.Sfq _) ->
-                            fun () -> base () +. Hybrid.bg_queue h
-                        | _ -> base
-                      in
-                      Netsim.Monitor.osc_sampler ~signal hsched bottleneck osc
-                        ~every:(Time.of_ms 20.) ~from:cfg.Config.warmup_s
-                        ~until:horizon;
-                      Some osc
-                    end
-                    else None
-                  in
-                  Some (burst, osc)
-              | None -> None)
-          | None -> None
-        in
-        let per_flow_binners =
-          if measure_sync && n >= 2 then begin
-            let binners =
-              Array.init n (fun _ ->
-                  Netstats.Binned.create ~origin:cfg.Config.warmup_s
-                    ~width:(Config.rtt_prop_s cfg) ())
-            in
-            Link.on_arrival bottleneck (fun now h ->
-                let flow = Packet_pool.flow hpool h in
-                if
-                  Packet_pool.is_data hpool h
-                  && flow >= 0
-                  && flow < Array.length binners
-                then Netstats.Binned.record binners.(flow) (Time.to_sec now));
-            Some binners
-          end
-          else None
-        in
-        let drop_run_list = Netsim.Monitor.drop_run_recorder bottleneck in
-        let delay_stats = Netstats.Welford.create () in
-        let delay_p99 = Netstats.P2_quantile.create ~q:0.99 in
-        let delay_hist =
-          match probe with
-          | Some p ->
-              Some
-                (Telemetry.Registry.histogram p.Telemetry.Probe.registry
-                   ~help:"Bottleneck one-way delay of data packets" ~lo:0.
-                   ~hi:5. ~bins:50 "packet_delay_seconds")
-          | None -> None
-        in
-        Link.on_depart bottleneck (fun now h ->
-            if
-              Packet_pool.is_data hpool h
-              && Time.to_sec now >= cfg.Config.warmup_s
-            then begin
-              let delay =
-                Time.to_sec now -. Time.to_sec (Packet_pool.sent_at hpool h)
-              in
-              Netstats.Welford.add delay_stats delay;
-              Netstats.P2_quantile.add delay_p99 delay;
-              match delay_hist with
-              | Some hist -> Telemetry.Registry.observe hist delay
-              | None -> ()
-            end);
-        let queue_series =
-          if sample_queue then
-            Some
-              (Netsim.Monitor.queue_sampler hsched bottleneck
-                 ~every:(Time.of_ms 10.) ~until:horizon)
-          else None
+        (* Under the hybrid engine the quantum tick lives on the hub
+           scheduler and reads only hub-local state (bottleneck
+           counters, gateway average), so the fluid coupling is
+           invariant under the shard count — the K-invariance guarantee
+           extends to hybrid runs. *)
+        let plane =
+          Plane.attach ?probe ~sample_queue ~measure_sync cfg ~sched:hsched
+            ~pool:hpool ~bottleneck
         in
         (* --- inboxes: one import side per destination domain ------ *)
+        let batches () = Array.init rotation (fun _ -> Msgs.create ()) in
         let hub_inbox =
-          let srcs = Array.map (fun sh -> sh.out) shards in
-          let bufs = Array.init rotation (fun _ -> Msgs.create ()) in
-          let import key =
-            let buf = bufs.(key lsr 40).Msgs.buf in
-            let o = (key land idx_mask) * stride in
-            let h = import_packet hpool buf o in
-            if Packet_pool.kind hpool h = Packet_pool.Tcp_ack then
-              Link.send reverse h
-            else Link.send bottleneck h
-          in
-          { bufs; order = [||]; srcs; cmp = make_cmp srcs; isched = hsched; import }
+          let bufs = batches () in
+          make_inbox (Array.map (fun sh -> sh.out) shards) hsched bufs
+            (fun key ->
+              let h = import_packet hpool bufs key in
+              if Packet_pool.kind hpool h = Packet_pool.Tcp_ack then
+                Link.send reverse h
+              else Link.send bottleneck h)
         in
         let shard_inboxes =
           Array.mapi
             (fun s sh ->
-              let srcs = [| hout.(s) |] in
-              let bufs = Array.init rotation (fun _ -> Msgs.create ()) in
-              let import key =
-                let buf = bufs.(key lsr 40).Msgs.buf in
-                let o = (key land idx_mask) * stride in
-                let h = import_packet sh.pool buf o in
-                let j = Packet_pool.flow sh.pool h - sh.lo in
-                if Packet_pool.kind sh.pool h = Packet_pool.Tcp_ack then
-                  Link.send sh.down_links.(j) h
-                else begin
-                  Transport.Tcp_receiver.handle_packet sh.receivers.(j) h;
-                  Packet_pool.free sh.pool h
-                end
-              in
-              {
-                bufs;
-                order = [||];
-                srcs;
-                cmp = make_cmp srcs;
-                isched = sh.sched;
-                import;
-              })
+              let bufs = batches () in
+              make_inbox [| hout.(s) |] sh.sched bufs (fun key ->
+                  let h = import_packet sh.pool bufs key in
+                  let j = Packet_pool.flow sh.pool h - sh.lo in
+                  if Packet_pool.kind sh.pool h = Packet_pool.Tcp_ack then
+                    Link.send sh.down_links.(j) h
+                  else begin
+                    Transport.Tcp_receiver.handle_packet sh.receivers.(j) h;
+                    Packet_pool.free sh.pool h
+                  end))
             shards
         in
-        ( hub,
-          shards,
-          binner,
-          burst_state,
-          hybrid,
-          per_flow_binners,
-          drop_run_list,
-          delay_stats,
-          delay_p99,
-          queue_series,
-          (hub_inbox, shard_inboxes) ))
+        (hub, shards, plane, hub_inbox, shard_inboxes))
   in
-  let hub_inbox, shard_inboxes = inboxes in
   (* Per-rank worker probes: shard phase timers and counters travel back
      through the same {!Telemetry.Probe.merge} path parallel sweeps use. *)
   let worker_probes =
@@ -676,11 +492,9 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
     | None -> [||]
   in
   let gc_by_rank = Array.make shards_n Telemetry.Perf.gc_zero in
-  (match lifecycle_hub with
-  | Some (l, sid) ->
-      Recorder.record l ~tick:0 ~kind:Telemetry.Record.run_start ~flow:(-1)
-        ~a:0 ~b:0 ~c:0 ~sid ~depth:0
-  | None -> ());
+  Option.iter
+    (fun m -> Plane.mark m ~kind:Telemetry.Record.run_start ~tick:0 ~a:0)
+    lifecycle_hub;
   let run_wall, run_gc =
     let t0 = Telemetry.Perf.wall_clock_s () in
     Team.with_team ~domains:shards_n (fun team ->
@@ -707,19 +521,7 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
                 (Telemetry.Perf.wall_clock_s () -. w0)));
     let dt = Telemetry.Perf.wall_clock_s () -. t0 in
     let gc =
-      Array.fold_left
-        (fun acc g ->
-          {
-            Telemetry.Perf.minor_words =
-              acc.Telemetry.Perf.minor_words +. g.Telemetry.Perf.minor_words;
-            promoted_words =
-              acc.Telemetry.Perf.promoted_words
-              +. g.Telemetry.Perf.promoted_words;
-            major_collections =
-              acc.Telemetry.Perf.major_collections
-              + g.Telemetry.Perf.major_collections;
-          })
-        Telemetry.Perf.gc_zero gc_by_rank
+      Array.fold_left Telemetry.Perf.gc_add Telemetry.Perf.gc_zero gc_by_rank
     in
     (match probe with
     | Some p -> Telemetry.Perf.add_s p.Telemetry.Probe.phases "run" dt
@@ -742,136 +544,34 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
   in
   if live <> 0 then
     failwith (Printf.sprintf "Pdes.run: %d packet(s) leaked from the pools" live);
-  let sender_of i = shards.(shard_of.(i)).senders.(i - shards.(shard_of.(i)).lo) in
-  let receiver_of i =
-    shards.(shard_of.(i)).receivers.(i - shards.(shard_of.(i)).lo)
-  in
   let metrics =
     time "collect" (fun () ->
-        let counts = Netstats.Binned.counts binner ~upto:cfg.Config.duration_s in
-        let cov, mean_per_bin =
-          if Array.length counts < 2 then (0., 0.)
-          else begin
-            let summary = Netstats.Summary.of_array counts in
-            (summary.Netstats.Summary.cov, summary.Netstats.Summary.mean)
-          end
-        in
-        let cov_ci95 =
-          if Array.length counts >= 20 then
-            (Netstats.Batch_means.cov_interval counts)
-              .Netstats.Batch_means.half_width_95
-          else 0.
-        in
-        let offered =
-          let acc = ref 0 in
-          Array.iter
-            (fun sh ->
-              Array.iter
-                (fun s -> acc := !acc + s.Traffic.Source.generated ())
-                sh.sources)
-            shards;
-          !acc
-        in
-        let per_client =
-          Array.init n (fun i -> Transport.Tcp_receiver.delivered (receiver_of i))
-        in
+        (* Shards are contiguous, so concatenation is client order. *)
+        let flat f = Array.concat (Array.to_list (Array.map f shards)) in
+        let senders = flat (fun sh -> sh.senders) in
         let stats =
-          let acc = ref (Transport.Tcp_stats.create ()) in
-          for i = 0 to n - 1 do
-            acc :=
-              Transport.Tcp_stats.add !acc
-                (Transport.Tcp_sender.stats (sender_of i))
-          done;
-          !acc
+          Array.fold_left
+            (fun acc s ->
+              Transport.Tcp_stats.add acc (Transport.Tcp_sender.stats s))
+            (Transport.Tcp_stats.create ()) senders
         in
-        let arrivals = Link.arrivals hub.bottleneck in
-        let drops = Link.drops hub.bottleneck in
-        let loss_pct =
-          if arrivals = 0 then 0.
-          else 100. *. float_of_int drops /. float_of_int arrivals
-        in
-        let sync_index =
-          match per_flow_binners with
-          | None -> None
-          | Some binners ->
-              let rows =
-                Array.map
-                  (fun b -> Netstats.Binned.counts b ~upto:cfg.Config.duration_s)
-                  binners
-              in
-              if Array.length rows.(0) < 2 then None
-              else Some (Netstats.Correlation.mean_pairwise rows)
-        in
-        let cwnd_traces =
-          List.filter_map
-            (fun i ->
-              if i >= 0 && i < n then
-                Some (i, Transport.Tcp_sender.cwnd_trace (sender_of i))
-              else None)
-            trace_clients
-        in
-        let burst_summary =
-          match burst_state with
-          | None -> None
-          | Some (burst, osc) ->
-              Telemetry.Burst.advance burst ~upto:cfg.Config.duration_s;
-              Some (Telemetry.Burst.summary ?osc burst)
-        in
-        let drop_runs = drop_run_list () in
-        let drop_max, drop_sum, drop_count =
-          List.fold_left
-            (fun (mx, sum, k) len -> (Stdlib.max mx len, sum + len, k + 1))
-            (0, 0, 0) drop_runs
-        in
-        let delivered_total = Array.fold_left ( + ) 0 per_client in
-        let ecn_reactions =
-          let acc = ref 0 in
-          for i = 0 to n - 1 do
-            acc := !acc + Transport.Tcp_sender.ecn_reactions (sender_of i)
-          done;
-          !acc
-        in
-        let gateway_marks =
-          match hub.gateway with
-          | Queue_disc.Red red -> Netsim.Red.marks red
-          | Queue_disc.Droptail _ | Queue_disc.Sfq _ -> 0
-        in
-        {
-          Metrics.scenario;
-          clients = n;
-          cov;
-          cov_ci95;
-          analytic_cov = Analytic.poisson_cov cfg;
-          mean_per_bin;
-          offered;
-          delivered = delivered_total;
-          segments_sent = stats.Transport.Tcp_stats.segments_sent;
-          gateway_arrivals = arrivals;
-          gateway_drops = drops;
-          loss_pct;
-          timeouts = stats.Transport.Tcp_stats.timeouts;
-          fast_retransmits = stats.Transport.Tcp_stats.fast_retransmits;
-          retransmits = stats.Transport.Tcp_stats.retransmits;
-          dup_acks = stats.Transport.Tcp_stats.dup_acks;
-          timeout_dupack_ratio = Transport.Tcp_stats.timeout_dupack_ratio stats;
-          per_client_delivered = per_client;
-          jain_fairness = Fairness.jain (Array.map float_of_int per_client);
-          sync_index;
-          ecn_marks = gateway_marks;
-          ecn_reactions;
-          delay_mean_s = Netstats.Welford.mean delay_stats;
-          delay_p99_s =
-            (if Netstats.P2_quantile.count delay_p99 = 0 then 0.
-             else Netstats.P2_quantile.quantile delay_p99);
-          drop_run_max = drop_max;
-          drop_run_mean =
-            (if drop_count = 0 then 0.
-             else float_of_int drop_sum /. float_of_int drop_count);
-          cwnd_traces;
-          queue_series;
-          burst = burst_summary;
-          hybrid = Option.map Hybrid.summary hybrid;
-        })
+        Plane.metrics plane scenario
+          {
+            Plane.sources = flat (fun sh -> sh.sources);
+            per_client_delivered =
+              Array.map Transport.Tcp_receiver.delivered
+                (flat (fun sh -> sh.receivers));
+            stats;
+            segments_sent = stats.Transport.Tcp_stats.segments_sent;
+            ecn_reactions =
+              Array.fold_left
+                (fun acc s -> acc + Transport.Tcp_sender.ecn_reactions s)
+                0 senders;
+            cwnd_traces =
+              List.map
+                (fun i -> (i, Transport.Tcp_sender.cwnd_trace senders.(i)))
+                trace_clients;
+          })
   in
   let events =
     Scheduler.events_processed hub.hsched
@@ -879,27 +579,14 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
         (fun acc sh -> acc + Scheduler.events_processed sh.sched)
         0 shards
   in
-  (match (probe, metrics.Metrics.burst) with
-  | Some p, Some s ->
-      Telemetry.Burst.export p.Telemetry.Probe.registry ~run:run_label s
-  | _ -> ());
-  (match (probe, metrics.Metrics.hybrid) with
-  | Some p, Some s ->
-      Hybrid.export p.Telemetry.Probe.registry ~run:run_label s
-  | _ -> ());
   (* The hub closes the recording: run-end marker and summaries (once,
      whatever K), then the canonical merge of every lane, then the
      lifecycle spans over the merged stream. *)
-  (match lifecycle_hub with
-  | Some (l, sid) ->
-      let tick = Time.to_ns horizon in
-      Recorder.record l ~tick ~kind:Telemetry.Record.run_end ~flow:(-1)
-        ~a:events ~b:0 ~c:0 ~sid ~depth:0;
-      Option.iter
-        (Telemetry.Burst.record_summary l ~tick ~sid)
-        metrics.Metrics.burst;
-      Option.iter (Hybrid.record_summary l ~tick ~sid) metrics.Metrics.hybrid
-  | None -> ());
+  let tick = Time.to_ns horizon in
+  Option.iter
+    (fun m -> Plane.mark m ~kind:Telemetry.Record.run_end ~tick ~a:events)
+    lifecycle_hub;
+  Plane.finish ?probe ~run_label ~lifecycle:lifecycle_hub ~tick metrics;
   (match recorder with
   | Some r ->
       time "record-merge" (fun () -> Recorder.merge_canonical r);

@@ -4,8 +4,9 @@
     {!run} partitions the client population into [cfg.shards] contiguous
     shards, each owning its clients' access links, transports, timers,
     packet pool and event queue on its own domain, while the bottleneck
-    link, gateway queue discipline and every bottleneck-anchored
-    measurement live in a hub simulated by rank 0. Because every packet
+    link, gateway queue discipline and the measurement plane
+    ({!Plane}, shared with the classic engine: the two differ only in
+    topology and scheduling) live in a hub simulated by rank 0. Because every packet
     crossing a domain boundary traverses a propagation leg of at least
     {!window_s} seconds, the domains advance in lock-step windows of that
     width and exchange sorted packet batches at window boundaries — a
@@ -20,8 +21,9 @@
 
 val window_s : Config.t -> float
 (** The conservative lookahead: the minimum cross-domain propagation
-    delay, [min bottleneck_delay_s (max 1e-4 (client_delay_s -
-    client_delay_spread_s / 2))]. Domains synchronise once per window. *)
+    delay, [bottleneck_delay_s] or the lower bound of
+    {!Dumbbell.client_delay_bounds_s}, whichever is smaller. Domains
+    synchronise once per window. *)
 
 val run :
   ?probe:Telemetry.Probe.t ->
@@ -33,7 +35,9 @@ val run :
   Metrics.t
 (** Like {!Run.run} but sharded over [cfg.shards] domains (clamped to
     the client count; rank 0 simulates shard 0 and the hub, so
-    [cfg.shards = K] uses [K] domains in total). TCP scenarios only.
+    [cfg.shards = K] uses [K] domains in total). TCP scenarios only;
+    [trace_clients] must lie in [\[0, cfg.clients)], which {!Run.run}
+    checks on entry.
 
     Flight recording ([Probe.set_recording]) gives the hub lane 0 and
     shard [s] lane [s + 1]; at the end of the run the lanes merge into

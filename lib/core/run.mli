@@ -27,6 +27,9 @@ val run :
     [cfg.shards] selects the engine: 0 (the default) runs the classic
     single-domain scheduler; [K >= 1] dispatches to the sharded
     conservative-PDES engine ({!Pdes.run}), which parallelises this one
-    run over [K] domains with K-invariant bit-identical results.
-    [prepare] is rejected with [Invalid_argument] when [cfg.shards >= 1]
-    (there is no single topology object to hook into). *)
+    run over [K] domains with K-invariant bit-identical results. Both
+    engines measure through one {!Plane}; they differ only in topology
+    and scheduling. [prepare] is rejected with [Invalid_argument] when
+    [cfg.shards >= 1] (there is no single topology object to hook into).
+    @raise Invalid_argument before any setup, at every [cfg.shards],
+    when a [trace_clients] index lies outside [\[0, cfg.clients)]. *)

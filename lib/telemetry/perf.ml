@@ -33,6 +33,13 @@ let gc_since before =
     major_collections = now.major_collections - before.major_collections;
   }
 
+let gc_add a b =
+  {
+    minor_words = a.minor_words +. b.minor_words;
+    promoted_words = a.promoted_words +. b.promoted_words;
+    major_collections = a.major_collections + b.major_collections;
+  }
+
 type phases = { mutable items : (string * float ref) list (* first-use order *) }
 
 let phases () = { items = [] }

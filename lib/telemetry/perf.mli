@@ -32,6 +32,9 @@ val gc_read : unit -> gc_counters
 val gc_since : gc_counters -> gc_counters
 (** [gc_since before] is the counter delta from [before] to now. *)
 
+val gc_add : gc_counters -> gc_counters -> gc_counters
+(** Field-wise sum, e.g. of per-domain deltas. *)
+
 type phases
 
 val phases : unit -> phases

@@ -289,6 +289,26 @@ let run_traces_requested_clients () =
       Alcotest.(check bool) "trace non-empty" true (Netstats.Series.length s > 0))
     m.Metrics.cwnd_traces
 
+(* An out-of-range trace index is rejected at entry, before any setup
+   (the classic engine's [prepare] hook never runs), with one message
+   whichever engine the config selects. *)
+let run_rejects_bad_trace_clients () =
+  let cfg = tiny ~clients:5 ~duration:10. () in
+  List.iter
+    (fun (shards, i) ->
+      let prepare =
+        if shards = 0 then Some (fun _ -> Alcotest.fail "setup ran") else None
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "index %d at shards = %d" i shards)
+        (Invalid_argument
+           (Printf.sprintf "Run.run: trace_clients index %d outside [0, 5)" i))
+        (fun () ->
+          ignore
+            (Run.run ?prepare ~trace_clients:[ 0; i ]
+               { cfg with Config.shards } Scenario.reno)))
+    [ (0, 99); (1, 99); (4, 99); (0, 5); (1, -1) ]
+
 let run_cov_ci_present () =
   let cfg = tiny ~clients:10 ~duration:120. ~warmup:10. () in
   let m = Run.run cfg Scenario.udp in
@@ -1191,6 +1211,8 @@ let suite =
         Alcotest.test_case "overload saturates throughput" `Slow
           run_overload_saturates_throughput;
         Alcotest.test_case "cwnd traces" `Quick run_traces_requested_clients;
+        Alcotest.test_case "trace_clients checked at entry" `Quick
+          run_rejects_bad_trace_clients;
         Alcotest.test_case "cov confidence interval" `Slow run_cov_ci_present;
         Alcotest.test_case "deterministic" `Quick run_deterministic;
         Alcotest.test_case "pinned trace digest" `Quick run_trace_digest_pinned;

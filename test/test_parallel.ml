@@ -321,6 +321,54 @@ let pdes_recording_invariant_across_shards () =
         one (decoded shards))
     [ 2; 4 ]
 
+(* The optional outputs of the measurement plane under sharding: the
+   JSON fingerprint above omits the queue series and cwnd traces. *)
+let pdes_plane_options_invariant_across_shards () =
+  let run shards =
+    Burstcore.Run.run ~sample_queue:true ~measure_sync:true
+      ~trace_clients:[ 0; 3 ] (pdes_cfg shards) Burstcore.Scenario.reno_red
+  in
+  let series s = (Netstats.Series.times s, Netstats.Series.values s) in
+  let one = run 1 and four = run 4 in
+  let queue m = Option.map series m.Burstcore.Metrics.queue_series in
+  let cwnd m =
+    List.map (fun (i, s) -> (i, series s)) m.Burstcore.Metrics.cwnd_traces
+  in
+  Alcotest.(check bool) "queue series sampled" true
+    (match queue one with Some (t, _) -> Array.length t > 0 | None -> false);
+  Alcotest.(check (list int)) "cwnd trace ids" [ 0; 3 ]
+    (List.map fst (cwnd one));
+  Alcotest.(check bool) "sync index measured" true
+    (one.Burstcore.Metrics.sync_index <> None);
+  Alcotest.(check bool) "queue series equal" true (queue one = queue four);
+  Alcotest.(check bool) "cwnd traces equal" true (cwnd one = cwnd four);
+  Alcotest.(check bool) "sync index equal" true
+    (one.Burstcore.Metrics.sync_index = four.Burstcore.Metrics.sync_index)
+
+(* The conservative window is sound only if no crossing is shorter than
+   it: every client access delay and the bottleneck delay. *)
+let pdes_lookahead_bounds_every_crossing =
+  let module Time = Sim_engine.Time in
+  QCheck.Test.make ~name:"lookahead bounds every crossing delay" ~count:300
+    QCheck.(
+      quad (float_range 1e-5 0.3) (float_range 0. 0.8) (float_range 1e-5 0.3)
+        int64)
+    (fun (client_delay_s, client_delay_spread_s, bottleneck_delay_s, seed) ->
+      let cfg =
+        {
+          (Burstcore.Config.with_clients Burstcore.Config.default 40) with
+          Burstcore.Config.client_delay_s;
+          client_delay_spread_s;
+          bottleneck_delay_s;
+          seed;
+        }
+      in
+      let w = Time.of_sec (Burstcore.Pdes.window_s cfg) in
+      Time.(w <= of_sec bottleneck_delay_s)
+      && Array.for_all
+           (fun d -> Time.(w <= d))
+           (Burstcore.Dumbbell.client_delays cfg))
+
 let pdes_rejects_prepare_and_udp () =
   Alcotest.(check bool) "?prepare rejected under shards >= 1" true
     (try
@@ -385,5 +433,8 @@ let suite =
           pdes_recording_invariant_across_shards;
         Alcotest.test_case "rejects prepare and UDP" `Quick
           pdes_rejects_prepare_and_udp;
-      ] );
+        Alcotest.test_case "plane options invariant across shards" `Quick
+          pdes_plane_options_invariant_across_shards;
+      ]
+      @ qsuite [ pdes_lookahead_bounds_every_crossing ] );
   ]

@@ -193,28 +193,6 @@ let regression_errors () =
     (fun () -> ignore (Regression.ols [| 1.; 1. |] [| 1.; 2. |]))
 
 (* ------------------------------------------------------------------ *)
-(* Autocorr *)
-
-let autocorr_constant () =
-  let acf = Autocorr.acf (Array.make 50 3.) 5 in
-  check_float "lag0" 1. acf.(0);
-  check_float "lag1" 0. acf.(1)
-
-let autocorr_alternating () =
-  (* x = +1,-1,+1,... has acf(1) ~ -1, acf(2) ~ +1 (biased estimator). *)
-  let xs = Array.init 200 (fun i -> if i mod 2 = 0 then 1. else -1.) in
-  let acf = Autocorr.acf xs 2 in
-  check_close 0.02 "lag1" (-1.) acf.(1);
-  check_close 0.02 "lag2" 1. acf.(2)
-
-let autocorr_iid_near_zero () =
-  let rng = Sim_engine.Rng.create ~seed:5L in
-  let xs = Array.init 5000 (fun _ -> Sim_engine.Rng.float rng) in
-  let acf = Autocorr.acf xs 3 in
-  Alcotest.(check bool) "lag1 small" true (Float.abs acf.(1) < 0.05);
-  Alcotest.(check bool) "lag3 small" true (Float.abs acf.(3) < 0.05)
-
-(* ------------------------------------------------------------------ *)
 (* Correlation *)
 
 let pearson_perfect () =
@@ -572,12 +550,6 @@ let suite =
         Alcotest.test_case "exact line" `Quick regression_exact_line;
         Alcotest.test_case "log-log power law" `Quick regression_loglog;
         Alcotest.test_case "errors" `Quick regression_errors;
-      ] );
-    ( "stats.autocorr",
-      [
-        Alcotest.test_case "constant series" `Quick autocorr_constant;
-        Alcotest.test_case "alternating series" `Quick autocorr_alternating;
-        Alcotest.test_case "iid near zero" `Quick autocorr_iid_near_zero;
       ] );
     ( "stats.correlation",
       [
