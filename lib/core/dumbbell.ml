@@ -12,39 +12,43 @@ type endpoint =
   | Tcp_end of Transport.Tcp_sender.t * Transport.Tcp_receiver.t
   | Udp_end of Transport.Udp.sender * Transport.Udp.receiver
 
-type t = {
+(* Clients [lo, lo + Array.length endpoints): their access links and
+   transports, on one scheduler and packet pool. *)
+type slice = {
+  lo : int;
   sched : Scheduler.t;
-  rng : Rng.t;
   pool : Packet_pool.t;
-  bottleneck : Link.t;
-  reverse_bottleneck : Link.t;
   up_links : Link.t array;
   down_links : Link.t array;
-  gateway_queue : Queue_disc.t;
   endpoints : endpoint array;
   (* The flow-table groups behind the TCP endpoints ([None] for UDP):
-     all N senders share one struct-of-arrays slab, all N receivers
+     the slice's senders share one struct-of-arrays slab, its receivers
      another — see {!Transport.Tcp_sender.create_group}. *)
   flows : (Transport.Tcp_sender.group * Transport.Tcp_receiver.group) option;
 }
 
-let lossless_capacity = 1_000_000
-(* Only the gateway buffer is finite in the paper's model; access and
-   reverse links never drop. *)
+(* The gateway half, on its own scheduler and pool in the sharded build
+   and on the one slice's in the classic build. *)
+type hub = {
+  sched : Scheduler.t;
+  pool : Packet_pool.t;
+  gateway_queue : Queue_disc.t;
+  bottleneck : Link.t;
+  reverse_bottleneck : Link.t;
+}
+
+type t = {
+  cfg : Config.t;
+  hub : hub;
+  slices : slice array;
+  endpoints : endpoint array; (* every slice's, in client order *)
+  mutable sources : Traffic.Source.t array;
+  trace_clients : int list;
+}
 
 let server_id = 0
 
 let client_id i = i + 1
-
-(* The {!Transport.Cc.variant} tag plus its parameters, if any; window
-   bounds default to the advertised window inside [create_group]. *)
-let make_cc cfg kind =
-  match kind with
-  | Scenario.Tahoe -> (Transport.Cc.Tahoe, None)
-  | Scenario.Reno -> (Transport.Cc.Reno, None)
-  | Scenario.Newreno -> (Transport.Cc.Newreno, None)
-  | Scenario.Vegas -> (Transport.Cc.Vegas, Some cfg.Config.vegas)
-  | Scenario.Sack -> (Transport.Cc.Sack, None)
 
 let red_params cfg ~ecn_mark ~adaptive =
   {
@@ -99,20 +103,18 @@ let client_delays cfg =
           (Stdlib.max delay_floor_s (cfg.Config.client_delay_s +. jitter)))
   end
 
-let start_sources cfg sched ~lo ~n ~sink =
-  let master = Rng.create ~seed:cfg.Config.seed in
-  let until = Time.of_sec cfg.Config.duration_s in
-  Array.init n (fun j ->
-      let i = lo + j in
-      let rng = Rng.split_named master (Printf.sprintf "client-%d" i) in
-      let start =
-        if cfg.Config.start_stagger_s > 0. then
-          Time.of_sec (Rng.float rng *. cfg.Config.start_stagger_s)
-        else Time.zero
-      in
-      Traffic.Poisson.start sched ~rng
-        ~mean_interarrival:cfg.Config.mean_interarrival_s ~start ~until
-        ~sink:(sink i))
+let client_stream cfg i =
+  let rng =
+    Rng.split_named
+      (Rng.create ~seed:cfg.Config.seed)
+      (Printf.sprintf "client-%d" i)
+  in
+  let start =
+    if cfg.Config.start_stagger_s > 0. then
+      Time.of_sec (Rng.float rng *. cfg.Config.start_stagger_s)
+    else Time.zero
+  in
+  (rng, start)
 
 let tcp_groups ?recorder cfg scenario ~capacity sched ~pool ~transmit_data
     ~transmit_ack =
@@ -121,7 +123,15 @@ let tcp_groups ?recorder cfg scenario ~capacity sched ~pool ~transmit_data
   | Scenario.Tcp { cc; delayed_ack } ->
       let ecn_capable = scenario.Scenario.gateway = Scenario.Red_ecn in
       let sack = cc = Scenario.Sack in
-      let variant, vegas = make_cc cfg cc in
+      (* Window bounds default to the advertised window in the groups. *)
+      let variant, vegas =
+        match cc with
+        | Scenario.Tahoe -> (Transport.Cc.Tahoe, None)
+        | Scenario.Reno -> (Transport.Cc.Reno, None)
+        | Scenario.Newreno -> (Transport.Cc.Newreno, None)
+        | Scenario.Vegas -> (Transport.Cc.Vegas, Some cfg.Config.vegas)
+        | Scenario.Sack -> (Transport.Cc.Sack, None)
+      in
       let sender_group =
         Transport.Tcp_sender.create_group ~ecn_capable ~sack
           ~cwnd_validation:cfg.Config.cwnd_validation ~pacing:cfg.Config.pacing
@@ -136,101 +146,105 @@ let tcp_groups ?recorder cfg scenario ~capacity sched ~pool ~transmit_data
       in
       (sender_group, receiver_group)
 
-let create ?recorder ?(trace_clients = []) cfg scenario =
-  Config.validate cfg;
-  (* The whole topology records into lane 0, resolved once here. The RED
-     gateway and the TCP senders always get it: their records are parity
-     kinds. Lifecycle-only sites (drop-tail/SFQ gateway drops, router
-     retransmit forwards) stay unwired in parity mode; receivers check
-     the mode themselves. *)
-  let lane = Option.map (fun r -> Telemetry.Recorder.lane r 0) recorder in
-  let lifecycle_lane =
-    match recorder with
-    | Some r when Telemetry.Recorder.lifecycle r -> lane
-    | _ -> None
-  in
-  let n = cfg.Config.clients in
-  (* Pre-size the event queue for the worst case: each client holds at
-     most a window of data segments plus ACKs in flight (two events per
-     packet: tx-done and delivery), plus per-flow timers and a small
-     fixed overhead for sampling/warmup events. This is far from free —
-     at N = 10^4 it is 880k slots x 11 words (~77 MB) against a
-     high-water mark of ~58k — but the flow-scaling bench gates zero
-     event-queue growth, so the bound stays. The packet pool, by
-     contrast, starts small and doubles on demand. *)
-  let queue_capacity = 64 + (n * ((4 * cfg.Config.adv_window) + 8)) in
-  let sched = Scheduler.create ~queue_capacity () in
+(* ------------------------------------------------------------------ *)
+(* Building blocks shared by both builds *)
+
+(* A link's far end: a local delivery, or — at a domain boundary — a
+   handoff that simulates the propagation leg on the sending side
+   ({!Link.set_handoff}). *)
+type handoff = Time.t -> Packet_pool.handle -> unit
+
+type far_end = Deliver of (Packet_pool.handle -> unit) | Handoff of handoff
+
+let link sched pool ~name ~bandwidth ~delay ~queue = function
+  | Deliver deliver -> Link.create sched ~name ~bandwidth ~delay ~queue ~pool ~deliver
+  | Handoff handoff ->
+      let link =
+        Link.create sched ~name ~bandwidth ~delay ~queue ~pool
+          ~deliver:(fun _ -> assert false)
+      in
+      Link.set_handoff link handoff;
+      link
+
+(* Only the gateway buffer is finite in the paper's model; access and
+   reverse links never drop. *)
+let lossless () = Queue_disc.droptail ~capacity:1_000_000
+
+let make_hub ?lane ?lifecycle_lane cfg scenario sched pool ~bottleneck
+    ~reverse:(reverse_delay, reverse) =
   let rng = Rng.create ~seed:cfg.Config.seed in
-  let pool = Packet_pool.create () in
-  let router = Router.create ?recorder:lifecycle_lane ~name:"gateway" ~pool () in
-  let server = Node.create ~id:server_id ~pool in
-  let client_nodes = Array.init n (fun i -> Node.create ~id:(client_id i) ~pool) in
-  let client_bw = Units.mbps cfg.Config.client_bandwidth_mbps in
-  let bottleneck_bw = Units.mbps cfg.Config.bottleneck_bandwidth_mbps in
-  let client_delay = client_delays cfg in
-  let bottleneck_delay = Time.of_sec cfg.Config.bottleneck_delay_s in
   let gateway_queue = gateway_queue ?recorder:lane cfg scenario rng pool in
-  (match lifecycle_lane with
-  | Some recorder ->
-      Queue_disc.set_recorder gateway_queue ~recorder ~pool ~name:"gateway"
-  | None -> ());
-  let bottleneck =
-    Link.create sched ~name:"bottleneck" ~bandwidth:bottleneck_bw
-      ~delay:bottleneck_delay ~queue:gateway_queue ~pool
-      ~deliver:(Node.receive server)
+  Option.iter
+    (fun recorder ->
+      Queue_disc.set_recorder gateway_queue ~recorder ~pool ~name:"gateway")
+    lifecycle_lane;
+  let bandwidth = Units.mbps cfg.Config.bottleneck_bandwidth_mbps in
+  let link = link sched pool ~bandwidth in
+  {
+    sched;
+    pool;
+    gateway_queue;
+    bottleneck =
+      link ~name:"bottleneck"
+        ~delay:(Time.of_sec cfg.Config.bottleneck_delay_s)
+        ~queue:gateway_queue bottleneck;
+    reverse_bottleneck =
+      link ~name:"bottleneck-rev" ~delay:reverse_delay ~queue:(lossless ())
+        reverse;
+  }
+
+(* The down link's far end: the client's sender consumes the ACK. *)
+let to_sender pool = function
+  | Tcp_end (sender, _) ->
+      fun h ->
+        Transport.Tcp_sender.handle_packet sender h;
+        Packet_pool.free pool h
+  | Udp_end _ -> Packet_pool.free pool
+
+(* A data packet to its flow's receiver; the caller keeps the handle. *)
+let serve (s : slice) h =
+  let j = Packet_pool.flow s.pool h - s.lo in
+  if j >= 0 && j < Array.length s.endpoints then
+    match s.endpoints.(j) with
+    | Tcp_end (_, receiver) -> Transport.Tcp_receiver.handle_packet receiver h
+    | Udp_end (_, receiver) -> Transport.Udp.handle_packet receiver h
+
+(* Clients [lo, lo + n): up links ending at [up], one sender and one
+   receiver group (receivers put ACKs on [transmit_ack]), the endpoints,
+   and down links of [down_delay i] ending at the senders. *)
+let make_slice ?lane ~trace_clients cfg scenario sched pool ~lo ~n ~delays ~up
+    ~down_delay ~transmit_ack =
+  let bandwidth = Units.mbps cfg.Config.client_bandwidth_mbps in
+  let access name i delay far_end =
+    link sched pool ~name:(Printf.sprintf name i) ~bandwidth ~delay
+      ~queue:(lossless ()) far_end
   in
-  let reverse_bottleneck =
-    Link.create sched ~name:"bottleneck-rev" ~bandwidth:bottleneck_bw
-      ~delay:bottleneck_delay
-      ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
-      ~pool
-      ~deliver:(Router.receive router)
-  in
-  Router.set_default router bottleneck;
   let up_links =
-    Array.init n (fun i ->
-        Link.create sched
-          ~name:(Printf.sprintf "up-%d" i)
-          ~bandwidth:client_bw ~delay:client_delay.(i)
-          ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
-          ~pool
-          ~deliver:(Router.receive router))
+    Array.init n (fun j -> access "up-%d" (lo + j) delays.(lo + j) up)
   in
-  let down_links =
-    Array.init n (fun i ->
-        Link.create sched
-          ~name:(Printf.sprintf "down-%d" i)
-          ~bandwidth:client_bw ~delay:client_delay.(i)
-          ~queue:(Queue_disc.droptail ~capacity:lossless_capacity)
-          ~pool
-          ~deliver:(Node.receive client_nodes.(i)))
-  in
-  Array.iteri (fun i link -> Router.add_route router ~dst:(client_id i) link) down_links;
-  (* One sender group and one receiver group carry every TCP flow:
-     attaching a flow claims a row in each slab, so client count scales
-     without per-flow records, closures or hashtables. Group creation
-     consumes no randomness and schedules nothing, so seed-for-seed
-     behaviour is unchanged from the per-flow-record construction. *)
+  (* One sender and one receiver group carry every TCP flow of the
+     slice: a flow is a row in each slab, not a record or closure. *)
   let flows =
     match scenario.Scenario.transport with
     | Scenario.Udp -> None
     | Scenario.Tcp _ ->
         Some
           (tcp_groups ?recorder:lane cfg scenario ~capacity:n sched ~pool
-             ~transmit_data:(fun ~flow p -> Link.send up_links.(flow) p)
-             ~transmit_ack:(fun ~flow:_ p -> Link.send reverse_bottleneck p))
+             ~transmit_data:(fun ~flow p -> Link.send up_links.(flow - lo) p)
+             ~transmit_ack)
   in
   let endpoints =
-    Array.init n (fun i ->
-        match (flows, scenario.Scenario.transport) with
-        | None, _ | _, Scenario.Udp ->
+    Array.init n (fun j ->
+        let i = lo + j in
+        match flows with
+        | None ->
             let sender =
               Transport.Udp.create_sender sched ~pool ~flow:i ~src:(client_id i)
                 ~dst:server_id ~size_bytes:cfg.Config.packet_bytes
-                ~transmit:(Link.send up_links.(i))
+                ~transmit:(Link.send up_links.(j))
             in
             Udp_end (sender, Transport.Udp.create_receiver ~pool ())
-        | Some (sender_group, receiver_group), Scenario.Tcp _ ->
+        | Some (sender_group, receiver_group) ->
             let sender =
               Transport.Tcp_sender.attach sender_group ~flow:i
                 ~src:(client_id i) ~dst:server_id
@@ -242,59 +256,203 @@ let create ?recorder ?(trace_clients = []) cfg scenario =
             in
             Tcp_end (sender, receiver))
   in
-  Node.set_handler server (fun h ->
-      let flow = Packet_pool.flow pool h in
-      if flow >= 0 && flow < n then
-        match endpoints.(flow) with
-        | Tcp_end (_, receiver) -> Transport.Tcp_receiver.handle_packet receiver h
-        | Udp_end (_, receiver) -> Transport.Udp.handle_packet receiver h);
+  let down_links =
+    Array.init n (fun j ->
+        access "down-%d" (lo + j) (down_delay (lo + j))
+          (Deliver (to_sender pool endpoints.(j))))
+  in
+  { lo; sched; pool; up_links; down_links; endpoints; flows }
+
+(* Lane [id] for parity records, and again for lifecycle-only sites. *)
+let lanes recorder id =
+  let lane = Option.map (fun r -> Telemetry.Recorder.lane r id) recorder in
+  match recorder with
+  | Some r when Telemetry.Recorder.lifecycle r -> (lane, lane)
+  | _ -> (lane, None)
+
+(* An event queue pre-sized for [n] clients holding [windows] advertised
+   windows of packets (two events each: tx-done and delivery), per-flow
+   timers and a small fixed overhead. This is far from free — at
+   N = 10^4 the classic bound is 880k slots x 11 words (~77 MB) against
+   a high-water mark of ~58k — but the flow-scaling bench gates zero
+   event-queue growth. The packet pool, by contrast, starts small. *)
+let scheduler_for cfg ~n ~windows =
+  Scheduler.create
+    ~queue_capacity:(64 + (n * ((windows * cfg.Config.adv_window) + 8)))
+    ()
+
+(* ------------------------------------------------------------------ *)
+(* The two builds *)
+
+let assemble cfg hub slices trace_clients =
+  let endpoints =
+    Array.concat (List.map (fun (s : slice) -> s.endpoints) (Array.to_list slices))
+  in
+  { cfg; hub; slices; endpoints; sources = [||]; trace_clients }
+
+let create ?recorder ?(trace_clients = []) cfg scenario =
+  Config.validate cfg;
+  (* Everything records into lane 0: the RED gateway and TCP senders
+     always (parity kinds), lifecycle-only sites in lifecycle mode. *)
+  let lane, lifecycle_lane = lanes recorder 0 in
+  let n = cfg.Config.clients in
+  let sched = scheduler_for cfg ~n ~windows:4 in
+  let pool = Packet_pool.create () in
+  let router = Router.create ?recorder:lifecycle_lane ~name:"gateway" ~pool () in
+  let server = Node.create ~id:server_id ~pool in
+  let delays = client_delays cfg in
+  let hub =
+    make_hub ?lane ?lifecycle_lane cfg scenario sched pool
+      ~bottleneck:(Deliver (Node.receive server))
+      ~reverse:
+        ( Time.of_sec cfg.Config.bottleneck_delay_s,
+          Deliver (Router.receive router) )
+  in
+  Router.set_default router hub.bottleneck;
+  let slice =
+    make_slice ?lane ~trace_clients cfg scenario sched pool ~lo:0 ~n ~delays
+      ~up:(Deliver (Router.receive router))
+      ~down_delay:(fun i -> delays.(i))
+      ~transmit_ack:(fun ~flow:_ p -> Link.send hub.reverse_bottleneck p)
+  in
   Array.iteri
-    (fun i node ->
-      Node.set_handler node (fun h ->
-          match endpoints.(i) with
-          | Tcp_end (sender, _) -> Transport.Tcp_sender.handle_packet sender h
-          | Udp_end _ -> ()))
-    client_nodes;
-  {
-    sched;
-    rng;
-    pool;
-    bottleneck;
-    reverse_bottleneck;
-    up_links;
-    down_links;
-    gateway_queue;
-    endpoints;
-    flows;
-  }
+    (fun i link -> Router.add_route router ~dst:(client_id i) link)
+    slice.down_links;
+  Node.set_handler server (fun h -> serve slice h);
+  assemble cfg hub [| slice |] trace_clients
 
-let scheduler t = t.sched
+(* Every crossing is a handoff that applies its propagation leg on the
+   sending side: the ACK leaves its slice already shifted by the
+   bottleneck delay, the reverse bottleneck serializes and adds the
+   access delay, and the down links only serialize. *)
+let create_sharded ?recorder ?(trace_clients = []) cfg scenario ~shards ~to_hub
+    ~to_slice =
+  Config.validate cfg;
+  let n = cfg.Config.clients in
+  if shards < 1 || shards > n then
+    invalid_arg "Dumbbell.create_sharded: shards outside [1, clients]";
+  let lo_of s = s * n / shards in
+  (* The s with [lo_of s <= i < lo_of (s + 1)]. *)
+  let slice_of = Array.init n (fun i -> (((i + 1) * shards) - 1) / n) in
+  let lane, lifecycle_lane = lanes recorder 0 in
+  let delays = client_delays cfg in
+  let pool = Packet_pool.create () in
+  let ship = Array.init shards (fun s -> to_slice s pool) in
+  let hub =
+    make_hub ?lane ?lifecycle_lane cfg scenario
+      (scheduler_for cfg ~n ~windows:2)
+      pool
+      ~bottleneck:
+        (Handoff
+           (fun arrival h -> ship.(slice_of.(Packet_pool.flow pool h)) arrival h))
+      ~reverse:
+        ( Time.zero,
+          Handoff
+            (fun arrival h ->
+              let flow = Packet_pool.flow pool h in
+              ship.(slice_of.(flow)) (Time.add arrival delays.(flow)) h) )
+  in
+  let bottleneck_delay = Time.of_sec cfg.Config.bottleneck_delay_s in
+  let slices =
+    Array.init shards (fun s ->
+        let lo = lo_of s in
+        let n = lo_of (s + 1) - lo in
+        let sched = scheduler_for cfg ~n ~windows:4 in
+        let pool = Packet_pool.create () in
+        let up = to_hub s pool in
+        make_slice
+          ?lane:(fst (lanes recorder (s + 1)))
+          ~trace_clients cfg scenario sched pool ~lo ~n ~delays
+          ~up:(Handoff up)
+          ~down_delay:(fun _ -> Time.zero)
+          ~transmit_ack:(fun ~flow:_ p ->
+            up (Time.add (Scheduler.now sched) bottleneck_delay) p))
+  in
+  assemble cfg hub slices trace_clients
 
-let rng t = t.rng
+let enter_hub t h =
+  if Packet_pool.kind t.hub.pool h = Packet_pool.Tcp_ack then
+    Link.send t.hub.reverse_bottleneck h
+  else Link.send t.hub.bottleneck h
 
-let pool t = t.pool
+let enter_slice t s h =
+  let sl = t.slices.(s) in
+  if Packet_pool.kind sl.pool h = Packet_pool.Tcp_ack then
+    Link.send sl.down_links.(Packet_pool.flow sl.pool h - sl.lo) h
+  else begin
+    serve sl h;
+    Packet_pool.free sl.pool h
+  end
 
-let bottleneck t = t.bottleneck
+(* ------------------------------------------------------------------ *)
+(* Accessors *)
 
-let reverse_bottleneck t = t.reverse_bottleneck
+let scheduler t = t.hub.sched
+
+let pool t = t.hub.pool
+
+let bottleneck t = t.hub.bottleneck
+
+let slices t = Array.length t.slices
+
+let slice t s = (t.slices.(s).sched, t.slices.(s).pool)
+
+(* [f] folded with [op] over the distinct schedulers and pools, hub's
+   first; allocation-free, as [Run] calls it inside the GC window. *)
+let across t op f =
+  let acc = ref (f t.hub.sched t.hub.pool) in
+  for s = 0 to Array.length t.slices - 1 do
+    let sl = t.slices.(s) in
+    if sl.sched != t.hub.sched then acc := op !acc (f sl.sched sl.pool)
+  done;
+  !acc
+
+let events_processed t =
+  across t ( + ) (fun sched _ -> Scheduler.events_processed sched)
+
+let event_queue_high_water_mark t =
+  across t Stdlib.max (fun sched _ -> Scheduler.queue_high_water_mark sched)
+
+let packets_live t = across t ( + ) (fun _ pool -> Packet_pool.live pool)
 
 let reclaim t =
-  Link.reclaim t.bottleneck;
-  Link.reclaim t.reverse_bottleneck;
-  Array.iter Link.reclaim t.up_links;
-  Array.iter Link.reclaim t.down_links
+  Link.reclaim t.hub.bottleneck;
+  Link.reclaim t.hub.reverse_bottleneck;
+  Array.iter
+    (fun s ->
+      Array.iter Link.reclaim s.up_links;
+      Array.iter Link.reclaim s.down_links)
+    t.slices
 
-let clients t = Array.length t.endpoints
+let write = function
+  | Tcp_end (sender, _) -> Transport.Tcp_sender.write sender
+  | Udp_end (sender, _) -> Transport.Udp.write sender
 
-let sink t i n =
-  match t.endpoints.(i) with
-  | Tcp_end (sender, _) -> Transport.Tcp_sender.write sender n
-  | Udp_end (sender, _) -> Transport.Udp.write sender n
+let sink t i = write t.endpoints.(i)
+
+let start_sources t =
+  let cfg = t.cfg in
+  let until = Time.of_sec cfg.Config.duration_s in
+  t.sources <-
+    Array.concat
+      (List.map
+         (fun (s : slice) ->
+           Array.mapi
+             (fun j ep ->
+               let rng, start = client_stream cfg (s.lo + j) in
+               Traffic.Poisson.start s.sched ~rng
+                 ~mean_interarrival:cfg.Config.mean_interarrival_s ~start
+                 ~until ~sink:(write ep))
+             s.endpoints)
+         (Array.to_list t.slices))
 
 let tcp_sender t i =
   match t.endpoints.(i) with
   | Tcp_end (sender, _) -> Some sender
   | Udp_end _ -> None
+
+let offered t =
+  Array.fold_left (fun acc s -> acc + s.Traffic.Source.generated ()) 0 t.sources
 
 let per_client_delivered t =
   Array.map
@@ -316,24 +474,27 @@ let tcp_stats_total t =
     (fun acc s -> Transport.Tcp_stats.add acc (Transport.Tcp_sender.stats s))
     (Transport.Tcp_stats.create ()) t
 
-let gateway_queue_high_water_mark t = Queue_disc.high_water_mark t.gateway_queue
-
-let gateway_marks gateway_queue =
-  match gateway_queue with
-  | Queue_disc.Red red -> Netsim.Red.marks red
-  | Queue_disc.Droptail _ | Queue_disc.Sfq _ -> 0
-
-let ecn_reactions_total =
-  fold_senders (fun acc s -> acc + Transport.Tcp_sender.ecn_reactions s) 0
+let ecn_reactions_total t =
+  fold_senders (fun acc s -> acc + Transport.Tcp_sender.ecn_reactions s) 0 t
 
 let segments_sent_total t =
   Array.fold_left
-    (fun acc ep ->
-      match ep with
+    (fun acc -> function
       | Tcp_end (sender, _) ->
           acc + (Transport.Tcp_sender.stats sender).Transport.Tcp_stats.segments_sent
       | Udp_end (sender, _) -> acc + Transport.Udp.sent sender)
     0 t.endpoints
+
+let cwnd_traces t =
+  List.filter_map
+    (fun i ->
+      Option.map
+        (fun sender -> (i, Transport.Tcp_sender.cwnd_trace sender))
+        (tcp_sender t i))
+    t.trace_clients
+
+let gateway_queue_high_water_mark t =
+  Queue_disc.high_water_mark t.hub.gateway_queue
 
 (* ------------------------------------------------------------------ *)
 (* Flow-table accounting (0 / no-op for UDP scenarios) *)
@@ -347,17 +508,21 @@ let release_flows t =
       | Udp_end _ -> ())
     t.endpoints
 
-(* [f] summed over the sender and receiver tables. *)
-let flow_tables f t =
-  match t.flows with
+(* [f] summed over a slice's sender and receiver tables. *)
+let slice_tables f s =
+  match s.flows with
   | None -> 0
   | Some (sg, rg) ->
       f (Transport.Tcp_sender.table sg) + f (Transport.Tcp_receiver.table rg)
+
+let flow_tables f t =
+  Array.fold_left (fun acc s -> acc + slice_tables f s) 0 t.slices
 
 let flows_live = flow_tables Netsim.Flow_table.live
 
 let flow_table_growths = flow_tables Netsim.Flow_table.growth_count
 
-let flow_table_bytes_per_flow = flow_tables Netsim.Flow_table.bytes_per_flow
+let flow_table_bytes_per_flow t =
+  slice_tables Netsim.Flow_table.bytes_per_flow t.slices.(0)
 
 let flow_table_footprint_bytes = flow_tables Netsim.Flow_table.footprint_bytes

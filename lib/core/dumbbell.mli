@@ -1,10 +1,14 @@
 (** The paper's network model (Figure 1): N clients on dedicated access
     links into a common gateway, one bottleneck link to the server.
 
-    Building a dumbbell wires nodes, links, the gateway router, the queue
-    discipline under test and one transport connection per client; traffic
-    sources are attached separately through {!sink}, so the same topology
-    serves the paper's Poisson workload and the bulk-transfer examples. *)
+    One topology for both engines: a {e hub} — the gateway queue, the
+    bottleneck and the reverse bottleneck — and one or more client
+    {e slices}, each holding clients [\[lo, lo + n)] with their
+    scheduler, packet pool, access links, TCP groups, endpoints and
+    sources. {!create} builds the classic engine's dumbbell, one slice
+    on the hub's scheduler and pool; {!create_sharded} the sharded
+    engine's, one slice per domain. Everything after construction is
+    the same code for both. *)
 
 type t
 
@@ -14,37 +18,45 @@ val create :
   Config.t ->
   Scenario.t ->
   t
-(** Fresh scheduler, RNG streams, packet pool, topology and transports.
-    When [recorder] is given, the RED gateway queue (as ["gateway"])
-    and every TCP sender record their decisions into its lane 0; if the
-    recorder is in lifecycle mode, the drop-tail/SFQ gateway, router and
-    receivers are wired too (drops, retransmit forwards, reordering).
-    The bottleneck link's own packet records are wired by the caller
-    ({!Netsim.Link.record}).
-    [trace_clients] (default none) lists client indices whose senders
-    record a congestion-window trace; tracing costs boxed floats per
-    ACK, so it is opt-in. *)
+(** The RED gateway queue (as ["gateway"]) and every TCP sender record
+    into [recorder]'s lane 0; in lifecycle mode so do the drop-tail/SFQ
+    gateway, the router and the receivers. The caller wires the
+    bottleneck's own packet records ({!Netsim.Link.record}).
+    [trace_clients] (default none) lists the clients whose senders trace
+    their congestion window. Sources are attached separately
+    ({!start_sources} or {!sink}). *)
 
-(** {2 Topology facts shared with the sharded builder}
+type handoff = Sim_engine.Time.t -> Netsim.Packet_pool.handle -> unit
+(** Takes a packet leaving a domain, with its arrival time on the far
+    side; see {!Netsim.Link.set_handoff}. *)
 
-    {!Pdes} splits this dumbbell across domains and takes these from
-    here, so the engines cannot drift on ids, delays, RNG streams or
-    transport parameters. *)
-
-val lossless_capacity : int
-(** Buffer of every access and reverse link: only the gateway buffer is
-    finite in the paper's model. *)
-
-val server_id : int
-
-val client_id : int -> int
-(** Node id of client [i]. *)
-
-val make_cc :
+val create_sharded :
+  ?recorder:Telemetry.Recorder.t ->
+  ?trace_clients:int list ->
   Config.t ->
-  Scenario.cc_kind ->
-  Transport.Cc.variant * Transport.Cc.vegas_params option
-(** The congestion-control variant tag plus its parameters, if any. *)
+  Scenario.t ->
+  shards:int ->
+  to_hub:(int -> Netsim.Packet_pool.t -> handoff) ->
+  to_slice:(int -> Netsim.Packet_pool.t -> handoff) ->
+  t
+(** The same dumbbell cut into [shards] (in [\[1, cfg.clients\]])
+    contiguous slices, each on its own scheduler and pool, and a hub on
+    another. Every crossing applies its propagation leg on the sending
+    side: slice [s]'s data and ACKs go to [to_hub s pool], the hub's
+    packets for slice [s] to [to_slice s pool] ([pool] is the sender's),
+    and the far side re-injects them with {!enter_hub} and
+    {!enter_slice}. The hub records into lane 0, slice [s] into lane
+    [s + 1]. *)
+
+val enter_hub : t -> Netsim.Packet_pool.handle -> unit
+(** An arrival at the hub: ACKs join the reverse bottleneck, data the
+    gateway queue. *)
+
+val enter_slice : t -> int -> Netsim.Packet_pool.handle -> unit
+(** An arrival at slice [s]: ACKs go down their client's access link,
+    data reaches the flow's receiver. *)
+
+(** {2 Topology facts} *)
 
 val client_delays : Config.t -> Sim_engine.Time.t array
 (** Per-client access-link propagation delay: [client_delay_s] for every
@@ -54,21 +66,12 @@ val client_delays : Config.t -> Sim_engine.Time.t array
 
 val client_delay_bounds_s : Config.t -> float * float
 (** [(lo, hi)] in seconds: every entry of {!client_delays} lies in
-    [\[lo, hi\]] (after rounding to ticks). {!Pdes.window_s} takes its
-    lookahead from [lo]. *)
+    [\[lo, hi\]] (after rounding to ticks). *)
 
-val start_sources :
-  Config.t ->
-  Sim_engine.Scheduler.t ->
-  lo:int ->
-  n:int ->
-  sink:(int -> int -> unit) ->
-  Traffic.Source.t array
-(** Start the Poisson sources of clients [lo .. lo + n - 1]: client [i]
-    draws from its own ["client-<i>"] stream of the run seed, starts at
-    a uniform offset in [\[0, start_stagger_s\]] and writes into
-    [sink i] until [duration_s]. The streams depend only on [i], so a
-    shard can start its own slice. *)
+val client_stream : Config.t -> int -> Sim_engine.Rng.t * Sim_engine.Time.t
+(** Client [i]'s traffic stream, its own ["client-<i>"] split of the run
+    seed, and its start time: a uniform offset in
+    [\[0, start_stagger_s\]] drawn first from that stream, or 0. *)
 
 val tcp_groups :
   ?recorder:Telemetry.Recorder.lane ->
@@ -92,37 +95,53 @@ val gateway_queue :
   Sim_engine.Rng.t ->
   Netsim.Packet_pool.t ->
   Netsim.Queue_disc.t
-(** Build the scenario's gateway queue discipline (RED splits
-    ["red-gateway"] off the given master RNG, and records its decisions
-    into [recorder] when given). *)
+(** The scenario's gateway queue discipline (RED splits ["red-gateway"]
+    off the given master RNG, and records into [recorder] when given). *)
+
+(** {2 The hub and the slices} *)
+
+(** The hub's scheduler and pool are the only ones of a {!create}
+    dumbbell. *)
 
 val scheduler : t -> Sim_engine.Scheduler.t
 
-val rng : t -> Sim_engine.Rng.t
-(** The run's master RNG; split it for sources. *)
-
 val pool : t -> Netsim.Packet_pool.t
-(** The packet pool every node, link and transport of this topology
-    allocates from. *)
-
-val reclaim : t -> unit
-(** Free every packet still queued or in flight on any link — call after
-    the scheduler stops so {!Netsim.Packet_pool.live} returns 0 for a
-    leak-free run. *)
 
 val bottleneck : t -> Netsim.Link.t
 (** The gateway → server link whose queue is the discipline under test. *)
 
-val reverse_bottleneck : t -> Netsim.Link.t
+val slices : t -> int
+
+val slice : t -> int -> Sim_engine.Scheduler.t * Netsim.Packet_pool.t
+
+val events_processed : t -> int
+(** Events fired, summed over every scheduler; allocation-free. *)
+
+val event_queue_high_water_mark : t -> int
+(** The largest of any scheduler. *)
+
+val reclaim : t -> unit
+(** Free every packet still queued or in flight on any link — after the
+    run, so {!packets_live} is 0 for a leak-free run. *)
+
+val packets_live : t -> int
+(** Summed over every pool. *)
+
+(** {2 Traffic and per-client totals} *)
+
+val start_sources : t -> unit
+(** Start every client's Poisson source on its slice's scheduler, from
+    its {!client_stream} and offset until [duration_s]. *)
 
 val sink : t -> int -> int -> unit
 (** [sink t i n] submits [n] application packets on client [i]'s
     transport. *)
 
-val clients : t -> int
-
 val tcp_sender : t -> int -> Transport.Tcp_sender.t option
 (** [None] for UDP scenarios. *)
+
+val offered : t -> int
+(** Packets the {!start_sources} sources have submitted. *)
 
 val per_client_delivered : t -> int array
 (** In-order segments (TCP) or datagrams (UDP) delivered per client. *)
@@ -130,43 +149,38 @@ val per_client_delivered : t -> int array
 val delivered_total : t -> int
 
 val tcp_stats_total : t -> Transport.Tcp_stats.t
-(** All-zero for UDP scenarios. *)
+(** Summed in client order; all-zero for UDP. *)
 
 val segments_sent_total : t -> int
-(** Data packets put on the wire by all clients (TCP: includes
-    retransmissions; UDP: datagrams). *)
-
-val gateway_queue_high_water_mark : t -> int
-(** Peak gateway queue occupancy (packets) seen so far. *)
-
-val gateway_marks : Netsim.Queue_disc.t -> int
-(** ECN CE marks applied by a gateway queue (0 for FIFO / SFQ / non-ECN
-    RED). *)
+(** Data packets put on the wire, retransmissions included. *)
 
 val ecn_reactions_total : t -> int
 (** Window reductions the senders performed in response to ECE echoes. *)
 
+val cwnd_traces : t -> (int * Netstats.Series.t) list
+(** The congestion-window traces of the [trace_clients] given at
+    construction, in that order (none for UDP). *)
+
+val gateway_queue_high_water_mark : t -> int
+(** Peak gateway queue occupancy (packets) seen so far. *)
+
 (** {2 Flow-table accounting}
 
-    TCP endpoints live as rows of two shared struct-of-arrays slabs
-    (one sender table, one receiver table); UDP scenarios report 0 and
-    release is a no-op. *)
+    Each slice's TCP endpoints are rows of one sender and one receiver
+    slab; UDP scenarios report 0. *)
 
 val release_flows : t -> unit
-(** Detach every TCP endpoint, cancelling its timers and freeing its
-    rows — call after metrics are collected so {!flows_live} returns 0
-    for a leak-free run. *)
+(** Detach every TCP endpoint — after metrics are collected, so
+    {!flows_live} is 0 for a leak-free run. *)
 
 val flows_live : t -> int
-(** Rows still allocated across both tables. *)
 
 val flow_table_growths : t -> int
-(** Capacity doublings across both tables; 0 means the client-count
-    pre-size held for the whole run. *)
+(** Capacity doublings; 0 means the client-count pre-size held. *)
 
 val flow_table_bytes_per_flow : t -> int
-(** Bytes one flow costs across both tables — the figure the flows
-    bench gates (≤ 512 B at the paper's advertised window). *)
+(** Bytes one flow costs across its sender and receiver tables (the
+    flows bench gates ≤ 512 B). *)
 
 val flow_table_footprint_bytes : t -> int
 (** Total slab bytes at current capacity. *)

@@ -96,49 +96,51 @@ let run ?(adv_window = 600) cfg ~cc ~hops ~cross_per_hop ~duration_s =
         else Router.add_route router ~dst:dst_id reverse.(k - 1))
       routers
   in
-  let adv = cfg.Config.adv_window in
-  let mk_connection ~flow ~src_id ~src_router ~dst_id ~dst_router =
-    let _, src_up, src_down = attach ~id:src_id ~router_idx:src_router in
-    let _, dst_up, dst_down = attach ~id:dst_id ~router_idx:dst_router in
-    route_all ~dst_id ~at_router:dst_router ~down:dst_down;
-    route_all ~dst_id:src_id ~at_router:src_router ~down:src_down;
-    let variant, vegas =
-      match cc with
-      | Scenario.Tahoe -> (Transport.Cc.Tahoe, None)
-      | Scenario.Reno -> (Transport.Cc.Reno, None)
-      | Scenario.Newreno -> (Transport.Cc.Newreno, None)
-      | Scenario.Vegas -> (Transport.Cc.Vegas, Some cfg.Config.vegas)
-      | Scenario.Sack -> (Transport.Cc.Sack, None)
-    in
-    let sack = cc = Scenario.Sack in
-    let sender =
-      Transport.Tcp_sender.create ~sack ?vegas sched ~pool ~cc:variant
-        ~rto_params:cfg.Config.rto ~flow ~src:src_id ~dst:dst_id
-        ~mss_bytes:cfg.Config.packet_bytes ~adv_window:adv
-        ~transmit:(Link.send src_up)
-    in
-    let receiver =
-      Transport.Tcp_receiver.create ~sack sched ~pool ~flow ~src:dst_id
-        ~dst:src_id ~ack_bytes:cfg.Config.ack_bytes ~delayed_ack:false
-        ~adv_window:adv
-        ~transmit:(Link.send dst_up)
-    in
-    Hashtbl.replace endpoints src_id { sender = Some sender; receiver = None };
-    Hashtbl.replace endpoints dst_id { sender = None; receiver = Some receiver };
-    (sender, receiver)
+  (* Flow 0 is the long flow, flow idx + 1 cross flow idx over hop
+     idx / cross_per_hop: (flow, src id, src router, dst id, dst router). *)
+  let specs =
+    (0, long_src_id, 0, long_dst_id, hops)
+    :: List.init (hops * cross_per_hop) (fun idx ->
+           let k = idx / cross_per_hop in
+           (idx + 1, cross_src_id idx, k, cross_dst_id idx, k + 1))
   in
-  let long = mk_connection ~flow:0 ~src_id:long_src_id ~src_router:0 ~dst_id:long_dst_id ~dst_router:hops in
-  let crosses =
-    List.concat_map
-      (fun k ->
-        List.map
-          (fun j ->
-            let idx = (k * cross_per_hop) + j in
-            mk_connection ~flow:(idx + 1)
-              ~src_id:(cross_src_id idx) ~src_router:k
-              ~dst_id:(cross_dst_id idx) ~dst_router:(k + 1))
-          (List.init cross_per_hop Fun.id))
-      (List.init hops Fun.id)
+  let ups =
+    Array.of_list
+      (List.map
+         (fun (_, src_id, src_router, dst_id, dst_router) ->
+           let _, src_up, src_down = attach ~id:src_id ~router_idx:src_router in
+           let _, dst_up, dst_down = attach ~id:dst_id ~router_idx:dst_router in
+           route_all ~dst_id ~at_router:dst_router ~down:dst_down;
+           route_all ~dst_id:src_id ~at_router:src_router ~down:src_down;
+           (src_up, dst_up))
+         specs)
+  in
+  let scenario =
+    {
+      Scenario.transport = Scenario.Tcp { cc; delayed_ack = false };
+      gateway = Scenario.Fifo;
+    }
+  in
+  let sender_group, receiver_group =
+    Dumbbell.tcp_groups cfg scenario ~capacity:(Array.length ups) sched ~pool
+      ~transmit_data:(fun ~flow p -> Link.send (fst ups.(flow)) p)
+      ~transmit_ack:(fun ~flow p -> Link.send (snd ups.(flow)) p)
+  in
+  let conns =
+    List.map
+      (fun (flow, src_id, _, dst_id, _) ->
+        let sender =
+          Transport.Tcp_sender.attach sender_group ~flow ~src:src_id
+            ~dst:dst_id ()
+        in
+        let receiver =
+          Transport.Tcp_receiver.attach receiver_group ~flow ~src:dst_id
+            ~dst:src_id ()
+        in
+        Hashtbl.replace endpoints src_id { sender = Some sender; receiver = None };
+        Hashtbl.replace endpoints dst_id { sender = None; receiver = Some receiver };
+        (sender, receiver))
+      specs
   in
   (* Node handlers dispatch to the endpoint that lives there. *)
   Hashtbl.iter
@@ -153,7 +155,7 @@ let run ?(adv_window = 600) cfg ~cc ~hops ~cross_per_hop ~duration_s =
   (* Greedy sources everywhere. *)
   List.iter
     (fun (sender, _) -> Transport.Tcp_sender.write sender Traffic.Bulk.infinite_backlog_size)
-    (long :: crosses);
+    conns;
   let half = duration_s /. 2. in
   let at_half = Hashtbl.create 16 in
   ignore
@@ -161,7 +163,7 @@ let run ?(adv_window = 600) cfg ~cc ~hops ~cross_per_hop ~duration_s =
          List.iteri
            (fun i (_, receiver) ->
              Hashtbl.replace at_half i (Transport.Tcp_receiver.delivered receiver))
-           (long :: crosses)));
+           conns));
   Scheduler.run ~until:(Time.of_sec duration_s) sched;
   let rates =
     List.mapi
@@ -169,7 +171,7 @@ let run ?(adv_window = 600) cfg ~cc ~hops ~cross_per_hop ~duration_s =
         let before = Option.value (Hashtbl.find_opt at_half i) ~default:0 in
         float_of_int (Transport.Tcp_receiver.delivered receiver - before)
         /. (duration_s -. half))
-      (long :: crosses)
+      conns
   in
   let long_rate, cross_rates =
     match rates with r :: rest -> (r, rest) | [] -> assert false

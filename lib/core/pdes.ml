@@ -1,45 +1,32 @@
 module Time = Sim_engine.Time
 module Scheduler = Sim_engine.Scheduler
-module Rng = Sim_engine.Rng
-module Link = Netsim.Link
-module Units = Netsim.Units
-module Queue_disc = Netsim.Queue_disc
 module Packet_pool = Netsim.Packet_pool
 module Team = Parallel.Pool.Team
 module Recorder = Telemetry.Recorder
 
-(* Sharded conservative PDES over the paper's dumbbell.
+(* Sharded conservative PDES: how the sharded engine advances time.
 
-   The client population is partitioned into K contiguous shards, each
-   owning its clients' access links, transports, timers, packet pool and
-   event queue on its own domain; the bottleneck link, RED gateway and
-   every bottleneck-anchored measurement live in a hub simulated by rank
-   0 (alongside shard 0). All four topology crossings — client data into
-   the gateway, gateway data out to the server-side receivers, ACKs into
-   the reverse bottleneck, delivered ACKs back down the access links —
-   traverse a propagation leg of at least
+   {!Dumbbell.create_sharded} cuts the topology into K client slices on
+   their own domains and a hub that rank 0 simulates alongside slice 0.
+   All four crossings — client data into the gateway, gateway data out
+   to the receivers, ACKs into the reverse bottleneck, delivered ACKs
+   back down the access links — traverse a propagation leg of at least
 
      W = min(min_i client_delay_i, bottleneck_delay)
 
-   so domains can simulate [W]-wide time windows independently and
-   exchange packets at window boundaries with zero rollback: a packet
-   emitted inside window [w] cannot arrive before window [w] ends. The
-   propagation leg of every boundary link is simulated on the *sending*
-   side ({!Link.set_handoff} computes the arrival time at serialization
-   end), which keeps per-packet timing identical to a single-domain
-   build of the same windowed machinery.
+   so domains simulate [W]-wide windows independently and exchange
+   packets at window boundaries with zero rollback: a packet emitted
+   inside window [w] cannot arrive before window [w] ends. Each crossing
+   applies its propagation on the sending side, which keeps per-packet
+   timing identical to a single-domain build of the same machinery.
 
-   Determinism: a K-shard run is bit-identical to a 1-shard run of the
-   same seed. Per-flow state only ever meets other flows at the hub, and
-   every batch crossing a domain boundary is sorted by
+   Determinism: every batch crossing a boundary is sorted by
    (arrival tick, flow, emission order) before its events are inserted —
    a total order independent of K. Uids come from per-flow counters
    ({!Packet_pool.set_uid_source}) so they do not leak cross-flow
    allocation interleaving, and every RNG stream is split by name from
-   the run seed exactly as the classic engine does. The flight recorder
-   gives the hub lane 0 and shard [s] lane [s + 1]; at the end of the run
-   the lanes merge into one canonical (tick, decoded line) order, so the
-   recording is K-invariant too. *)
+   the run seed. The recorder's lanes (hub 0, slice [s] lane [s + 1])
+   merge at the end into one canonical (tick, decoded line) order. *)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-domain packet batches *)
@@ -140,31 +127,7 @@ let sort_prefix a n cmp =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Domain-local topology halves *)
-
-type shard = {
-  lo : int;
-  n_local : int;
-  sched : Scheduler.t;
-  pool : Packet_pool.t;
-  up_links : Link.t array; (* handoff: propagation simulated sender-side *)
-  down_links : Link.t array; (* delay 0: propagation already applied *)
-  sender_group : Transport.Tcp_sender.group;
-  receiver_group : Transport.Tcp_receiver.group;
-  senders : Transport.Tcp_sender.t array;
-  receivers : Transport.Tcp_receiver.t array;
-  out : Msgs.t; (* to the hub; drained by rank 0 between windows *)
-  mutable sources : Traffic.Source.t array;
-}
-
-type hub = {
-  hsched : Scheduler.t;
-  hpool : Packet_pool.t;
-  bottleneck : Link.t; (* handoff *)
-  reverse : Link.t; (* delay 0; deliver routes into [hout] *)
-  gateway : Queue_disc.t;
-  hout : Msgs.t array; (* one ring per destination shard *)
-}
+(* Import sides *)
 
 (* A destination's import side: R rotating frozen batches (a message
    scheduled at the end of window [w] can fire up to [lmax/W] windows
@@ -252,355 +215,123 @@ let max_lag_s cfg =
     (snd (Dumbbell.client_delay_bounds_s cfg))
 
 (* ------------------------------------------------------------------ *)
+(* The engine: one dumbbell cut into slices, plus the rings between them *)
 
-let run ?probe ?(trace_clients = []) ?(sample_queue = false)
-    ?(measure_sync = false) cfg scenario =
-  Config.validate cfg;
-  if cfg.Config.shards < 1 then invalid_arg "Pdes.run: shards < 1";
-  (match scenario.Scenario.transport with
-  | Scenario.Tcp _ -> ()
-  | Scenario.Udp ->
-      invalid_arg "Pdes.run: UDP scenarios need the classic engine (shards = 0)");
-  let n = cfg.Config.clients in
-  let shards_n = Stdlib.min cfg.Config.shards n in
-  let time name f = Telemetry.Probe.time probe name f in
-  let run_label =
-    Printf.sprintf "%s n=%d shards=%d" (Scenario.label scenario) n shards_n
+type t = {
+  net : Dumbbell.t;
+  probe : Telemetry.Probe.t option;
+  recorder : Recorder.t option;
+  to_hub : Msgs.t array; (* per slice; drained by rank 0 between windows *)
+  to_slice : Msgs.t array; (* one ring per destination slice *)
+  hub_inbox : inbox;
+  slice_inboxes : inbox array;
+  wspan : int;
+  (* Per-rank probes, merged back the way parallel sweeps merge. *)
+  workers : Telemetry.Probe.t array;
+}
+
+let dumbbell t = t.net
+
+(* A boundary handoff: copy the packet into [rings.(s)] and free it from
+   the sending side's [pool]. *)
+let ship rings s pool =
+  let ring = rings.(s) in
+  fun arrival h -> Msgs.ship ring pool arrival h
+
+let shards cfg = Stdlib.min cfg.Config.shards cfg.Config.clients
+
+let create ?probe ?recorder ?trace_clients cfg scenario =
+  let k = shards cfg in
+  let to_hub = Array.init k (fun _ -> Msgs.create ()) in
+  let to_slice = Array.init k (fun _ -> Msgs.create ()) in
+  let net =
+    Dumbbell.create_sharded ?recorder ?trace_clients cfg scenario ~shards:k
+      ~to_hub:(ship to_hub) ~to_slice:(ship to_slice)
   in
-  (* One recorder = one segment per run, as in the classic engine. Every
-     lane and interned name is created during setup, before any domain
-     starts, so each domain only ever writes its own lane. Run markers
-     and summaries carry the classic engine's K-free label. *)
-  let recorder =
-    Option.bind probe (Telemetry.Probe.start_recorder ~label:run_label)
-  in
-  let lane id = Option.map (fun r -> Recorder.lane r id) recorder in
-  let hlane = lane 0 in
-  let lifecycle_hub =
-    Plane.lifecycle recorder
-      ~label:(Printf.sprintf "%s n=%d" (Scenario.label scenario) n)
-  in
-  let horizon = Time.of_sec cfg.Config.duration_s in
-  let wspan = Stdlib.max 1 (Time.to_ns (Time.of_sec (window_s cfg))) in
-  let windows = ((Time.to_ns horizon + wspan) - 1) / wspan in
-  let rotation =
-    2 + int_of_float (Float.ceil (max_lag_s cfg /. window_s cfg))
-  in
-  let lo_of s = s * n / shards_n in
-  let shard_of = Array.make n 0 in
-  for s = 0 to shards_n - 1 do
-    for i = lo_of s to lo_of (s + 1) - 1 do
-      shard_of.(i) <- s
-    done
-  done;
-  (* One global pass, so the delays are independent of the sharding. *)
-  let delays = Dumbbell.client_delays cfg in
   (* Per-flow uid counters: uids become a pure function of per-flow
      history, so they cannot leak cross-flow allocation interleaving
      (which is the one thing that differs between shardings). *)
-  let uid_count = Array.make n 0 in
+  let uid_count = Array.make cfg.Config.clients 0 in
   let uid_source flow =
     let u = ((flow + 1) lsl 32) lor uid_count.(flow) in
     uid_count.(flow) <- uid_count.(flow) + 1;
     u
   in
-  let client_bw = Units.mbps cfg.Config.client_bandwidth_mbps in
-  let bottleneck_bw = Units.mbps cfg.Config.bottleneck_bandwidth_mbps in
-  let bottleneck_delay = Time.of_sec cfg.Config.bottleneck_delay_s in
-  let lossless () = Queue_disc.droptail ~capacity:Dumbbell.lossless_capacity in
-  let hub, shards, plane, hub_inbox, shard_inboxes =
-    time "setup" (fun () ->
-        (* --- hub ------------------------------------------------- *)
-        let hsched =
-          Scheduler.create
-            ~queue_capacity:(64 + (n * ((2 * cfg.Config.adv_window) + 8)))
-            ()
-        in
-        let hpool = Packet_pool.create () in
-        let hrng = Rng.create ~seed:cfg.Config.seed in
-        let gateway =
-          Dumbbell.gateway_queue ?recorder:hlane cfg scenario hrng hpool
-        in
-        (match lifecycle_hub with
-        | Some (l, _) ->
-            Queue_disc.set_recorder gateway ~recorder:l ~pool:hpool
-              ~name:"gateway"
-        | None -> ());
-        let hout = Array.init shards_n (fun _ -> Msgs.create ()) in
-        let bottleneck =
-          Link.create hsched ~name:"bottleneck" ~bandwidth:bottleneck_bw
-            ~delay:bottleneck_delay ~queue:gateway ~pool:hpool
-            ~deliver:(fun _ -> assert false)
-        in
-        Link.set_handoff bottleneck (fun arrival h ->
-            let s = shard_of.(Packet_pool.flow hpool h) in
-            Msgs.ship hout.(s) hpool arrival h);
-        (* The reverse bottleneck's propagation was already applied on
-           the shard side (the ACK arrives here [bottleneck_delay] after
-           the receiver emitted it), so this half only serializes; the
-           downstream access-link propagation is applied now, on the
-           sending side of the next crossing. *)
-        let reverse =
-          Link.create hsched ~name:"bottleneck-rev" ~bandwidth:bottleneck_bw
-            ~delay:Time.zero
-            ~queue:(lossless ())
-            ~pool:hpool
-            ~deliver:(fun _ -> assert false)
-        in
-        Link.set_handoff reverse (fun arrival h ->
-            let flow = Packet_pool.flow hpool h in
-            Msgs.ship hout.(shard_of.(flow)) hpool
-              (Time.add arrival delays.(flow))
-              h);
-        Option.iter (Link.record bottleneck) hlane;
-        let hub = { hsched; hpool; bottleneck; reverse; gateway; hout } in
-        (* --- shards ---------------------------------------------- *)
-        let shards =
-          Array.init shards_n (fun s ->
-              let lo = lo_of s in
-              let n_local = lo_of (s + 1) - lo in
-              let sched =
-                Scheduler.create
-                  ~queue_capacity:
-                    (64 + (n_local * ((4 * cfg.Config.adv_window) + 8)))
-                  ()
-              in
-              let pool = Packet_pool.create () in
-              Packet_pool.set_uid_source pool (Some uid_source);
-              let slane = lane (s + 1) in
-              let out = Msgs.create () in
-              let up_links =
-                Array.init n_local (fun j ->
-                    let i = lo + j in
-                    let link =
-                      Link.create sched
-                        ~name:(Printf.sprintf "up-%d" i)
-                        ~bandwidth:client_bw ~delay:delays.(i)
-                        ~queue:(lossless ())
-                        ~pool
-                        ~deliver:(fun _ -> assert false)
-                    in
-                    Link.set_handoff link (fun arrival h ->
-                        Msgs.ship out pool arrival h);
-                    link)
-              in
-              (* The receiver's ACK leaves the server for the reverse
-                 bottleneck; that crossing's propagation is pre-applied
-                 here so the hub half can serialize with zero delay. *)
-              let sender_group, receiver_group =
-                Dumbbell.tcp_groups ?recorder:slane cfg scenario
-                  ~capacity:n_local sched ~pool
-                  ~transmit_data:(fun ~flow p ->
-                    Link.send up_links.(flow - lo) p)
-                  ~transmit_ack:(fun ~flow:_ p ->
-                    Msgs.ship out pool
-                      (Time.add (Scheduler.now sched) bottleneck_delay)
-                      p)
-              in
-              let senders =
-                Array.init n_local (fun j ->
-                    let i = lo + j in
-                    Transport.Tcp_sender.attach sender_group ~flow:i
-                      ~src:(Dumbbell.client_id i) ~dst:Dumbbell.server_id
-                      ~trace_cwnd:(List.mem i trace_clients) ())
-              in
-              let receivers =
-                Array.init n_local (fun j ->
-                    let i = lo + j in
-                    Transport.Tcp_receiver.attach receiver_group ~flow:i
-                      ~src:Dumbbell.server_id ~dst:(Dumbbell.client_id i) ())
-              in
-              let down_links =
-                Array.init n_local (fun j ->
-                    Link.create sched
-                      ~name:(Printf.sprintf "down-%d" (lo + j))
-                      ~bandwidth:client_bw ~delay:Time.zero
-                      ~queue:(lossless ())
-                      ~pool
-                      ~deliver:(fun h ->
-                        Transport.Tcp_sender.handle_packet senders.(j) h;
-                        Packet_pool.free pool h))
-              in
-              {
-                lo;
-                n_local;
-                sched;
-                pool;
-                up_links;
-                down_links;
-                sender_group;
-                receiver_group;
-                senders;
-                receivers;
-                out;
-                sources = [||];
-              })
-        in
-        (* Poisson sources, attached after construction as in the
-           classic engine; each shard starts its own slice. *)
-        Array.iter
-          (fun sh ->
-            sh.sources <-
-              Dumbbell.start_sources cfg sh.sched ~lo:sh.lo ~n:sh.n_local
-                ~sink:(fun i ->
-                  let sender = sh.senders.(i - sh.lo) in
-                  fun k -> Transport.Tcp_sender.write sender k))
-          shards;
-        (* --- bottleneck-anchored measurement (all hub-side) ------- *)
-        (* Under the hybrid engine the quantum tick lives on the hub
-           scheduler and reads only hub-local state (bottleneck
-           counters, gateway average), so the fluid coupling is
-           invariant under the shard count — the K-invariance guarantee
-           extends to hybrid runs. *)
-        let plane =
-          Plane.attach ?probe ~sample_queue ~measure_sync cfg ~sched:hsched
-            ~pool:hpool ~bottleneck
-        in
-        (* --- inboxes: one import side per destination domain ------ *)
-        let batches () = Array.init rotation (fun _ -> Msgs.create ()) in
-        let hub_inbox =
-          let bufs = batches () in
-          make_inbox (Array.map (fun sh -> sh.out) shards) hsched bufs
-            (fun key ->
-              let h = import_packet hpool bufs key in
-              if Packet_pool.kind hpool h = Packet_pool.Tcp_ack then
-                Link.send reverse h
-              else Link.send bottleneck h)
-        in
-        let shard_inboxes =
-          Array.mapi
-            (fun s sh ->
-              let bufs = batches () in
-              make_inbox [| hout.(s) |] sh.sched bufs (fun key ->
-                  let h = import_packet sh.pool bufs key in
-                  let j = Packet_pool.flow sh.pool h - sh.lo in
-                  if Packet_pool.kind sh.pool h = Packet_pool.Tcp_ack then
-                    Link.send sh.down_links.(j) h
-                  else begin
-                    Transport.Tcp_receiver.handle_packet sh.receivers.(j) h;
-                    Packet_pool.free sh.pool h
-                  end))
-            shards
-        in
-        (hub, shards, plane, hub_inbox, shard_inboxes))
+  for s = 0 to k - 1 do
+    Packet_pool.set_uid_source (snd (Dumbbell.slice net s)) (Some uid_source)
+  done;
+  let rotation =
+    2 + int_of_float (Float.ceil (max_lag_s cfg /. window_s cfg))
   in
-  (* Per-rank worker probes: shard phase timers and counters travel back
-     through the same {!Telemetry.Probe.merge} path parallel sweeps use. *)
-  let worker_probes =
-    match probe with
-    | Some p -> Array.init shards_n (fun _ -> Telemetry.Probe.create_like p)
-    | None -> [||]
+  let batches () = Array.init rotation (fun _ -> Msgs.create ()) in
+  let hub_inbox =
+    let bufs = batches () and pool = Dumbbell.pool net in
+    make_inbox to_hub (Dumbbell.scheduler net) bufs (fun key ->
+        Dumbbell.enter_hub net (import_packet pool bufs key))
   in
-  let gc_by_rank = Array.make shards_n Telemetry.Perf.gc_zero in
-  Option.iter
-    (fun m -> Plane.mark m ~kind:Telemetry.Record.run_start ~tick:0 ~a:0)
-    lifecycle_hub;
-  let run_wall, run_gc =
-    let t0 = Telemetry.Perf.wall_clock_s () in
-    Team.with_team ~domains:shards_n (fun team ->
-        Team.run team (fun rank ->
-            let g0 = Telemetry.Perf.gc_read () in
-            let w0 = Telemetry.Perf.wall_clock_s () in
-            for w = 1 to windows do
-              let upto =
-                if w = windows then horizon else Time.of_ns (w * wspan)
-              in
-              Scheduler.run ~until:upto shards.(rank).sched;
-              if rank = 0 then Scheduler.run ~until:upto hub.hsched;
-              Team.barrier team;
-              if rank = 0 && w < windows then begin
-                merge_window hub_inbox ~window:w;
-                Array.iter (fun ib -> merge_window ib ~window:w) shard_inboxes
-              end;
-              Team.barrier team
-            done;
-            gc_by_rank.(rank) <- Telemetry.Perf.gc_since g0;
-            if Array.length worker_probes > 0 then
-              Telemetry.Perf.add_s
-                worker_probes.(rank).Telemetry.Probe.phases "shard-run"
-                (Telemetry.Perf.wall_clock_s () -. w0)));
-    let dt = Telemetry.Perf.wall_clock_s () -. t0 in
-    let gc =
-      Array.fold_left Telemetry.Perf.gc_add Telemetry.Perf.gc_zero gc_by_rank
-    in
-    (match probe with
-    | Some p -> Telemetry.Perf.add_s p.Telemetry.Probe.phases "run" dt
-    | None -> ());
-    (dt, gc)
+  let slice_inboxes =
+    Array.init k (fun s ->
+        let bufs = batches () and sched, pool = Dumbbell.slice net s in
+        make_inbox [| to_slice.(s) |] sched bufs (fun key ->
+            Dumbbell.enter_slice net s (import_packet pool bufs key)))
   in
-  (* Reclaim and leak-check every pool: shard access links, then the hub
-     links. Messages still sitting in cross-domain rings were freed when
-     shipped, so a clean run drains to zero everywhere. *)
-  Array.iter
-    (fun sh ->
-      Array.iter Link.reclaim sh.up_links;
-      Array.iter Link.reclaim sh.down_links)
-    shards;
-  Link.reclaim hub.bottleneck;
-  Link.reclaim hub.reverse;
-  let live =
-    Packet_pool.live hub.hpool
-    + Array.fold_left (fun acc sh -> acc + Packet_pool.live sh.pool) 0 shards
-  in
-  if live <> 0 then
-    failwith (Printf.sprintf "Pdes.run: %d packet(s) leaked from the pools" live);
-  let metrics =
-    time "collect" (fun () ->
-        (* Shards are contiguous, so concatenation is client order. *)
-        let flat f = Array.concat (Array.to_list (Array.map f shards)) in
-        let senders = flat (fun sh -> sh.senders) in
-        let stats =
-          Array.fold_left
-            (fun acc s ->
-              Transport.Tcp_stats.add acc (Transport.Tcp_sender.stats s))
-            (Transport.Tcp_stats.create ()) senders
-        in
-        Plane.metrics plane scenario
-          {
-            Plane.sources = flat (fun sh -> sh.sources);
-            per_client_delivered =
-              Array.map Transport.Tcp_receiver.delivered
-                (flat (fun sh -> sh.receivers));
-            stats;
-            segments_sent = stats.Transport.Tcp_stats.segments_sent;
-            ecn_reactions =
-              Array.fold_left
-                (fun acc s -> acc + Transport.Tcp_sender.ecn_reactions s)
-                0 senders;
-            cwnd_traces =
-              List.map
-                (fun i -> (i, Transport.Tcp_sender.cwnd_trace senders.(i)))
-                trace_clients;
-          })
-  in
-  let events =
-    Scheduler.events_processed hub.hsched
-    + Array.fold_left
-        (fun acc sh -> acc + Scheduler.events_processed sh.sched)
-        0 shards
-  in
-  (* The hub closes the recording: run-end marker and summaries (once,
-     whatever K), then the canonical merge of every lane, then the
-     lifecycle spans over the merged stream. *)
-  let tick = Time.to_ns horizon in
-  Option.iter
-    (fun m -> Plane.mark m ~kind:Telemetry.Record.run_end ~tick ~a:events)
-    lifecycle_hub;
-  Plane.finish ?probe ~run_label ~lifecycle:lifecycle_hub ~tick metrics;
-  (match recorder with
-  | Some r ->
-      time "record-merge" (fun () -> Recorder.merge_canonical r);
+  {
+    net;
+    probe;
+    recorder;
+    to_hub;
+    to_slice;
+    hub_inbox;
+    slice_inboxes;
+    wspan = Stdlib.max 1 (Time.to_ns (Time.of_sec (window_s cfg)));
+    workers =
       (match probe with
-      | Some p when Recorder.lifecycle r ->
-          time "spans" (fun () ->
-              Telemetry.Spans.of_recorder ~registry:p.Telemetry.Probe.registry r)
-      | _ -> ())
-  | None -> ());
-  (match probe with
-  | Some p ->
-      (* Shard-side telemetry rides worker probes through the sweep-
-         proven merge path: per-shard boundary-message counters and the
-         shard-run phase timers fold into the main registry here. *)
+      | Some p -> Array.init k (fun _ -> Telemetry.Probe.create_like p)
+      | None -> [||]);
+  }
+
+(* Rank [r] simulates slice [r]; rank 0 also simulates the hub and, between
+   the two barriers of each window, merges every batch shipped in it. *)
+let advance t ~until =
+  let k = Dumbbell.slices t.net in
+  let hub = Dumbbell.scheduler t.net in
+  let scheds = Array.init k (fun s -> fst (Dumbbell.slice t.net s)) in
+  let windows = ((Time.to_ns until + t.wspan) - 1) / t.wspan in
+  let gc_by_rank = Array.make k Telemetry.Perf.gc_zero in
+  Team.with_team ~domains:k (fun team ->
+      Team.run team (fun rank ->
+          let g0 = Telemetry.Perf.gc_read () in
+          let w0 = Telemetry.Perf.wall_clock_s () in
+          for w = 1 to windows do
+            let upto =
+              if w = windows then until else Time.of_ns (w * t.wspan)
+            in
+            Scheduler.run ~until:upto scheds.(rank);
+            if rank = 0 then Scheduler.run ~until:upto hub;
+            Team.barrier team;
+            if rank = 0 && w < windows then begin
+              merge_window t.hub_inbox ~window:w;
+              Array.iter (fun ib -> merge_window ib ~window:w) t.slice_inboxes
+            end;
+            Team.barrier team
+          done;
+          gc_by_rank.(rank) <- Telemetry.Perf.gc_since g0;
+          if Array.length t.workers > 0 then
+            Telemetry.Perf.add_s t.workers.(rank).Telemetry.Probe.phases
+              "shard-run"
+              (Telemetry.Perf.wall_clock_s () -. w0)));
+  Array.fold_left Telemetry.Perf.gc_add Telemetry.Perf.gc_zero gc_by_rank
+
+let merge_recording t =
+  Option.iter
+    (fun r ->
+      Telemetry.Probe.time t.probe "record-merge" (fun () ->
+          Recorder.merge_canonical r))
+    t.recorder
+
+let merge_probes t =
+  Option.iter
+    (fun p ->
       Array.iteri
         (fun s wp ->
           let c =
@@ -610,39 +341,8 @@ let run ?probe ?(trace_clients = []) ?(sample_queue = false)
               "pdes_boundary_packets_total"
           in
           Telemetry.Registry.inc
-            ~by:(shards.(s).out.Msgs.total + hub.hout.(s).Msgs.total)
+            ~by:(t.to_hub.(s).Msgs.total + t.to_slice.(s).Msgs.total)
             c;
           Telemetry.Probe.merge ~into:p wp)
-        worker_probes;
-      let eq_hwm =
-        Array.fold_left
-          (fun acc sh -> Stdlib.max acc (Scheduler.queue_high_water_mark sh.sched))
-          (Scheduler.queue_high_water_mark hub.hsched)
-          shards
-      in
-      Telemetry.Probe.note_run p ~label:run_label ~sim_s:cfg.Config.duration_s
-        ~wall_s:run_wall ~events ~event_queue_hwm:eq_hwm
-        ~gateway_queue_hwm:(Queue_disc.high_water_mark hub.gateway)
-        ~arrivals:(Link.arrivals hub.bottleneck)
-        ~drops:(Link.drops hub.bottleneck)
-        ~gc:run_gc ()
-  | None -> ());
-  Array.iter
-    (fun sh ->
-      Array.iter Transport.Tcp_sender.detach sh.senders;
-      Array.iter Transport.Tcp_receiver.detach sh.receivers)
-    shards;
-  let flows_live =
-    Array.fold_left
-      (fun acc sh ->
-        acc
-        + Netsim.Flow_table.live (Transport.Tcp_sender.table sh.sender_group)
-        + Netsim.Flow_table.live
-            (Transport.Tcp_receiver.table sh.receiver_group))
-      0 shards
-  in
-  if flows_live <> 0 then
-    failwith
-      (Printf.sprintf "Pdes.run: %d flow row(s) leaked from the flow tables"
-         flows_live);
-  metrics
+        t.workers)
+    t.probe

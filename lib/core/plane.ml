@@ -3,18 +3,16 @@ module Link = Netsim.Link
 module Queue_disc = Netsim.Queue_disc
 module Packet_pool = Netsim.Packet_pool
 
-type t = Scenario.t -> totals -> Metrics.t
+type t = Scenario.t -> Metrics.t
 
-and totals = {
-  sources : Traffic.Source.t array;
-  per_client_delivered : int array;
-  stats : Transport.Tcp_stats.t;
-  segments_sent : int;
-  ecn_reactions : int;
-  cwnd_traces : (int * Netstats.Series.t) list;
-}
+let gateway_marks = function
+  | Queue_disc.Red red -> Netsim.Red.marks red
+  | Queue_disc.Droptail _ | Queue_disc.Sfq _ -> 0
 
-let attach ?probe ~sample_queue ~measure_sync cfg ~sched ~pool ~bottleneck =
+let attach ?probe ~sample_queue ~measure_sync cfg net =
+  let sched = Dumbbell.scheduler net
+  and pool = Dumbbell.pool net
+  and bottleneck = Dumbbell.bottleneck net in
   let horizon = Time.of_sec cfg.Config.duration_s in
   (* Hybrid engine: couple the fluid background population to the
      bottleneck before any sampler reads its signals. *)
@@ -114,7 +112,7 @@ let attach ?probe ~sample_queue ~measure_sync cfg ~sched ~pool ~bottleneck =
     else None
   in
   (* The plane is its collectors' closing function. *)
-  let collect scenario tot =
+  let collect scenario =
     let upto = cfg.Config.duration_s in
     let counts = Netstats.Binned.counts binner ~upto in
     (* A run shorter than the warm-up has no complete measurement bins. *)
@@ -159,7 +157,8 @@ let attach ?probe ~sample_queue ~measure_sync cfg ~sched ~pool ~bottleneck =
         (fun (mx, sum, n) len -> (Stdlib.max mx len, sum + len, n + 1))
         (0, 0, 0) (drop_runs ())
     in
-    let stats = tot.stats and per_client = tot.per_client_delivered in
+    let stats = Dumbbell.tcp_stats_total net
+    and per_client = Dumbbell.per_client_delivered net in
     {
       Metrics.scenario;
       clients = cfg.Config.clients;
@@ -167,12 +166,9 @@ let attach ?probe ~sample_queue ~measure_sync cfg ~sched ~pool ~bottleneck =
       cov_ci95;
       analytic_cov = Analytic.poisson_cov cfg;
       mean_per_bin;
-      offered =
-        Array.fold_left
-          (fun acc s -> acc + s.Traffic.Source.generated ())
-          0 tot.sources;
+      offered = Dumbbell.offered net;
       delivered = Array.fold_left ( + ) 0 per_client;
-      segments_sent = tot.segments_sent;
+      segments_sent = Dumbbell.segments_sent_total net;
       gateway_arrivals = arrivals;
       gateway_drops = drops;
       loss_pct;
@@ -184,8 +180,8 @@ let attach ?probe ~sample_queue ~measure_sync cfg ~sched ~pool ~bottleneck =
       per_client_delivered = per_client;
       jain_fairness = Fairness.jain (Array.map float_of_int per_client);
       sync_index;
-      ecn_marks = Dumbbell.gateway_marks (Link.queue_disc bottleneck);
-      ecn_reactions = tot.ecn_reactions;
+      ecn_marks = gateway_marks (Link.queue_disc bottleneck);
+      ecn_reactions = Dumbbell.ecn_reactions_total net;
       delay_mean_s = Netstats.Welford.mean delay_stats;
       delay_p99_s =
         (if Netstats.P2_quantile.count delay_p99 = 0 then 0.
@@ -194,7 +190,7 @@ let attach ?probe ~sample_queue ~measure_sync cfg ~sched ~pool ~bottleneck =
       drop_run_mean =
         (if drop_count = 0 then 0.
          else float_of_int drop_sum /. float_of_int drop_count);
-      cwnd_traces = tot.cwnd_traces;
+      cwnd_traces = Dumbbell.cwnd_traces net;
       queue_series;
       burst;
       hybrid = Option.map Hybrid.summary hybrid;
@@ -203,15 +199,6 @@ let attach ?probe ~sample_queue ~measure_sync cfg ~sched ~pool ~bottleneck =
   collect
 
 let metrics t = t
-
-let mark (lane, sid) ~kind ~tick ~a =
-  Telemetry.Recorder.record lane ~tick ~kind ~flow:(-1) ~a ~b:0 ~c:0 ~sid ~depth:0
-
-let lifecycle recorder ~label =
-  match recorder with
-  | Some r when Telemetry.Recorder.lifecycle r ->
-      Some (Telemetry.Recorder.lane r 0, Telemetry.Recorder.intern r label)
-  | _ -> None
 
 let finish ?probe ~run_label ~lifecycle ~tick (m : Metrics.t) =
   Option.iter

@@ -1,5 +1,10 @@
 (** Execute one experiment: build the dumbbell, attach Poisson sources and
-    monitors, run to the configured duration, and collect {!Metrics}. *)
+    monitors, run to the configured duration, and collect {!Metrics}.
+
+    One topology, one lifecycle: both engines build a {!Dumbbell.t},
+    measure it through one {!Plane}, and close it with the same reclaim,
+    packet-leak check, metrics, summaries, probe records and flow-leak
+    check. They differ only in how simulated time advances. *)
 
 val run :
   ?probe:Telemetry.Probe.t ->
@@ -17,19 +22,20 @@ val run :
     ({!Telemetry.Probe.set_recording}) — the run records one segment:
     the bottleneck link's packets, the RED gateway's decisions and the
     TCP senders' congestion decisions, plus the lifecycle kinds in
-    lifecycle mode. [trace_clients] selects client indices whose congestion-window
-    evolution is recorded (ignored for UDP); [sample_queue] (default
-    false) additionally samples the gateway queue length every 10 ms;
-    [measure_sync] (default false) computes {!Metrics.t.sync_index} from
-    per-flow gateway arrival counts. [prepare] runs after the topology is
-    built but before any traffic flows — attach extra monitors there.
+    lifecycle mode. [trace_clients] selects clients whose congestion
+    window is traced (ignored for UDP); [sample_queue] (default false)
+    samples the gateway queue every 10 ms; [measure_sync] (default
+    false) computes {!Metrics.t.sync_index} from per-flow gateway
+    arrivals. [prepare] runs after the topology is built but before any
+    traffic flows — attach extra monitors there.
 
-    [cfg.shards] selects the engine: 0 (the default) runs the classic
-    single-domain scheduler; [K >= 1] dispatches to the sharded
-    conservative-PDES engine ({!Pdes.run}), which parallelises this one
-    run over [K] domains with K-invariant bit-identical results. Both
-    engines measure through one {!Plane}; they differ only in topology
-    and scheduling. [prepare] is rejected with [Invalid_argument] when
-    [cfg.shards >= 1] (there is no single topology object to hook into).
-    @raise Invalid_argument before any setup, at every [cfg.shards],
-    when a [trace_clients] index lies outside [\[0, cfg.clients)]. *)
+    [cfg.shards] selects how time advances: 0 (the default) drains the
+    classic engine's one scheduler; [K >= 1] runs the sharded
+    conservative-PDES engine ({!Pdes}) over [K] domains, with
+    K-invariant bit-identical results.
+    @raise Invalid_argument before any setup, with one message at every
+    [cfg.shards], on an invalid [cfg], a [trace_clients] index outside
+    [\[0, cfg.clients)], or — when [cfg.shards >= 1] — [prepare] or a UDP
+    scenario.
+    @raise Failure ["Run.run: ..."] if a packet or a flow-table row
+    leaked. *)

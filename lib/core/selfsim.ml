@@ -1,6 +1,5 @@
 module Time = Sim_engine.Time
 module Scheduler = Sim_engine.Scheduler
-module Rng = Sim_engine.Rng
 
 type source_kind = Poisson_src | Pareto_src
 
@@ -37,22 +36,20 @@ let pareto_params cfg =
     rate = 2. *. mean_rate;
   }
 
-let attach_sources cfg kind net sched horizon =
-  List.iter
-    (fun i ->
-      let rng = Rng.split_named (Dumbbell.rng net) (Printf.sprintf "client-%d" i) in
-      let sink = Dumbbell.sink net i in
-      match kind with
-      | Poisson_src ->
-          ignore
-            (Traffic.Poisson.start sched ~rng
-               ~mean_interarrival:cfg.Config.mean_interarrival_s ~start:Time.zero
-               ~until:horizon ~sink)
-      | Pareto_src ->
-          ignore
-            (Traffic.Onoff_pareto.start sched ~rng ~params:(pareto_params cfg)
-               ~start:Time.zero ~until:horizon ~sink))
-    (List.init cfg.Config.clients Fun.id)
+(* The paper's Poisson sources, or heavy-tailed ones on the same
+   per-client streams and start offsets. *)
+let start_sources cfg kind net =
+  match kind with
+  | Poisson_src -> Dumbbell.start_sources net
+  | Pareto_src ->
+      let sched = Dumbbell.scheduler net in
+      let until = Time.of_sec cfg.Config.duration_s in
+      for i = 0 to cfg.Config.clients - 1 do
+        let rng, start = Dumbbell.client_stream cfg i in
+        ignore
+          (Traffic.Onoff_pareto.start sched ~rng ~params:(pareto_params cfg)
+             ~start ~until ~sink:(Dumbbell.sink net i))
+      done
 
 (* Everything streams: a fine-grained dyadic aggregator (10 ms base
    bins) yields the wavelet Hurst slope and the IDC profile, and a
@@ -76,7 +73,7 @@ let measure cfg kind scenario =
   in
   Netsim.Monitor.arrival_burst pool bottleneck fine;
   Netsim.Monitor.arrival_burst pool bottleneck rtt;
-  attach_sources cfg kind net sched horizon;
+  start_sources cfg kind net;
   Scheduler.run ~until:horizon sched;
   Telemetry.Burst.advance fine ~upto:cfg.Config.duration_s;
   Telemetry.Burst.advance rtt ~upto:cfg.Config.duration_s;

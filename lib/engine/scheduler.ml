@@ -9,11 +9,6 @@ type t = {
   mutable clock : Time.t;
   mutable stopped : bool;
   mutable fired : int;
-  (* Drain-boundary instrumentation: called once per [run], not per
-     event, so arbitrary observers (the flight recorder's run markers)
-     cost nothing on the datapath. *)
-  mutable on_run_start : Time.t -> unit;
-  mutable on_run_end : Time.t -> int -> unit;
 }
 
 let create ?queue_capacity () =
@@ -22,8 +17,6 @@ let create ?queue_capacity () =
     clock = Time.zero;
     stopped = false;
     fired = 0;
-    on_run_start = ignore;
-    on_run_end = (fun _ _ -> ());
   }
 
 let now t = t.clock
@@ -45,14 +38,8 @@ let cancel t handle = Event_queue.cancel t.queue handle
 
 let stop t = t.stopped <- true
 
-let set_instrument t ~on_run_start ~on_run_end =
-  t.on_run_start <- on_run_start;
-  t.on_run_end <- on_run_end
-
 let run ?until t =
   t.stopped <- false;
-  t.on_run_start t.clock;
-  let fired_before = t.fired in
   (* The allocation-free drain: one [pop_if_before] per event, no
      option/pair boxes (see Event_queue). *)
   let horizon = match until with Some u -> u | None -> Time.never in
@@ -68,10 +55,9 @@ let run ?until t =
     end
   in
   loop ();
-  (match until with
+  match until with
   | Some u when (not t.stopped) && Time.(t.clock < u) -> t.clock <- u
-  | _ -> ());
-  t.on_run_end t.clock (t.fired - fired_before)
+  | _ -> ()
 
 let events_processed t = t.fired
 

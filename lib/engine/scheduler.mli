@@ -45,13 +45,6 @@ val cancel : t -> handle -> unit
 val stop : t -> unit
 (** Makes {!run} return after the event being processed completes. *)
 
-val set_instrument :
-  t -> on_run_start:(Time.t -> unit) -> on_run_end:(Time.t -> int -> unit) -> unit
-(** Observe drain boundaries: [on_run_start clock] fires when {!run} is
-    entered, [on_run_end clock fired] when it returns (with the final
-    clock and the number of events fired by that drain). Called once per
-    {!run}, never per event. Defaults are no-ops. *)
-
 val run : ?until:Time.t -> t -> unit
 (** Processes events in time order until the queue is empty, {!stop} is
     called, or the next event is later than [until]. When stopped by

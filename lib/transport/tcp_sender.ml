@@ -678,21 +678,6 @@ let table g = g.table
 
 let group t = t.g
 
-(* ------------------------------------------------------------------ *)
-(* Single-flow view *)
-
-let create ?(ecn_capable = false) ?(sack = false) ?(cwnd_validation = false)
-    ?(limited_transmit = false) ?(pacing = false) ?(trace_cwnd = false)
-    ?recorder ?vegas ?initial_ssthresh ?max_window sched ~pool ~cc ~rto_params
-    ~flow ~src ~dst ~mss_bytes ~adv_window ~transmit =
-  let g =
-    create_group ~ecn_capable ~sack ~cwnd_validation ~limited_transmit ~pacing
-      ?recorder ?vegas ?initial_ssthresh ?max_window ~capacity:1 sched
-      ~pool ~cc ~rto_params ~mss_bytes ~adv_window
-      ~transmit:(fun ~flow:_ p -> transmit p)
-  in
-  attach g ~flow ~src ~dst ~trace_cwnd ()
-
 let slot t = Ft.slot_of t.g.table t.h
 
 let write t n =

@@ -902,6 +902,21 @@ let selfsim_pareto_raises_hurst () =
     true
     (pareto.Selfsim.hurst > poisson.Selfsim.hurst)
 
+(* Selfsim's Poisson arm starts the paper's sources the shared way, start
+   stagger included: its RTT-bin c.o.v. is the one Run.run reports for
+   the same configuration. *)
+let selfsim_poisson_matches_run_under_stagger () =
+  let cfg =
+    { (tiny ~clients:6 ~duration:40. ~warmup:5. ()) with
+      Config.start_stagger_s = 10. }
+  in
+  let selfsim = (Selfsim.measure cfg Selfsim.Poisson_src Scenario.udp).Selfsim.cov in
+  let run = (Run.run cfg Scenario.udp).Metrics.cov in
+  Alcotest.(check bool)
+    (Printf.sprintf "selfsim cov %.12f vs run cov %.12f" selfsim run)
+    true
+    (Float.abs (selfsim -. run) <= 1e-9)
+
 (* Pin the streaming Selfsim estimators against the old offline path:
    rebuild the same Poisson/UDP run with a stored-array binner next to
    the streaming aggregators and compare c.o.v. (same adds, same order
@@ -928,17 +943,7 @@ let selfsim_streaming_matches_offline () =
   in
   Netsim.Monitor.arrival_burst pool bottleneck fine;
   Netsim.Monitor.arrival_burst pool bottleneck rtt;
-  List.iter
-    (fun i ->
-      let rng =
-        Sim_engine.Rng.split_named (Dumbbell.rng net)
-          (Printf.sprintf "client-%d" i)
-      in
-      ignore
-        (Traffic.Poisson.start sched ~rng
-           ~mean_interarrival:cfg.Config.mean_interarrival_s ~start:Time.zero
-           ~until:horizon ~sink:(Dumbbell.sink net i)))
-    (List.init cfg.Config.clients Fun.id);
+  Dumbbell.start_sources net;
   Scheduler.run ~until:horizon sched;
   Telemetry.Burst.advance fine ~upto:cfg.Config.duration_s;
   Telemetry.Burst.advance rtt ~upto:cfg.Config.duration_s;
@@ -1300,5 +1305,7 @@ let suite =
         Alcotest.test_case "pareto raises hurst" `Slow selfsim_pareto_raises_hurst;
         Alcotest.test_case "streaming matches offline path" `Slow
           selfsim_streaming_matches_offline;
+        Alcotest.test_case "poisson matches Run.run under start stagger" `Quick
+          selfsim_poisson_matches_run_under_stagger;
       ] );
   ]

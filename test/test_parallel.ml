@@ -322,11 +322,13 @@ let pdes_recording_invariant_across_shards () =
     [ 2; 4 ]
 
 (* The optional outputs of the measurement plane under sharding: the
-   JSON fingerprint above omits the queue series and cwnd traces. *)
+   JSON fingerprint above omits the queue series and cwnd traces. Client
+   4 is the last client of the last of 4 shards over 5 clients, so its
+   trace exercises the slice indexing. *)
 let pdes_plane_options_invariant_across_shards () =
   let run shards =
     Burstcore.Run.run ~sample_queue:true ~measure_sync:true
-      ~trace_clients:[ 0; 3 ] (pdes_cfg shards) Burstcore.Scenario.reno_red
+      ~trace_clients:[ 0; 3; 4 ] (pdes_cfg shards) Burstcore.Scenario.reno_red
   in
   let series s = (Netstats.Series.times s, Netstats.Series.values s) in
   let one = run 1 and four = run 4 in
@@ -336,8 +338,12 @@ let pdes_plane_options_invariant_across_shards () =
   in
   Alcotest.(check bool) "queue series sampled" true
     (match queue one with Some (t, _) -> Array.length t > 0 | None -> false);
-  Alcotest.(check (list int)) "cwnd trace ids" [ 0; 3 ]
+  Alcotest.(check (list int)) "cwnd trace ids" [ 0; 3; 4 ]
     (List.map fst (cwnd one));
+  Alcotest.(check bool) "last client's trace present at 4 shards" true
+    (match List.assoc_opt 4 (cwnd four) with
+    | Some (t, _) -> Array.length t > 0
+    | None -> false);
   Alcotest.(check bool) "sync index measured" true
     (one.Burstcore.Metrics.sync_index <> None);
   Alcotest.(check bool) "queue series equal" true (queue one = queue four);

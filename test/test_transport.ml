@@ -10,6 +10,27 @@ open Transport
 let check_float = Alcotest.(check (float 1e-9))
 let check_close tol = Alcotest.(check (float tol))
 
+(* One connection's halves, each a capacity-1 flow-table group plus
+   [attach]: the single-flow view the endpoint tests drive. *)
+let one_sender ?sack ?cwnd_validation ?limited_transmit ?pacing ?trace_cwnd
+    sched ~pool ~cc ~rto_params ~flow ~src ~dst ~mss_bytes ~adv_window
+    ~transmit =
+  let g =
+    Tcp_sender.create_group ?sack ?cwnd_validation ?limited_transmit ?pacing
+      ~capacity:1 sched ~pool ~cc ~rto_params ~mss_bytes ~adv_window
+      ~transmit:(fun ~flow:_ p -> transmit p)
+  in
+  Tcp_sender.attach g ~flow ~src ~dst ?trace_cwnd ()
+
+let one_receiver ?sack sched ~pool ~flow ~src ~dst ~ack_bytes ~delayed_ack
+    ~adv_window ~transmit =
+  let g =
+    Tcp_receiver.create_group ?sack ~capacity:1 sched ~pool ~ack_bytes
+      ~delayed_ack ~adv_window
+      ~transmit:(fun ~flow:_ p -> transmit p)
+  in
+  Tcp_receiver.attach g ~flow ~src ~dst ()
+
 (* ------------------------------------------------------------------ *)
 (* Rto *)
 
@@ -216,7 +237,7 @@ let make_harness ?(cc = `Reno) ?(adv_window = 64) ?(cwnd_validation = false)
     | `Newreno -> Cc.Newreno
   in
   let sender =
-    Tcp_sender.create ~cwnd_validation ~limited_transmit ~pacing ~trace_cwnd sched
+    one_sender ~cwnd_validation ~limited_transmit ~pacing ~trace_cwnd sched
       ~pool ~cc ~rto_params:Rto.default_params ~flow:0 ~src:1 ~dst:0
       ~mss_bytes:1000 ~adv_window
       ~transmit:(fun p -> outbox := p :: !outbox)
@@ -506,13 +527,13 @@ let loop_pacing_transfer_completes () =
            Pool.free pool p))
   in
   let sender =
-    Tcp_sender.create ~pacing:true lsched ~pool ~cc:Cc.Reno
+    one_sender ~pacing:true lsched ~pool ~cc:Cc.Reno
       ~rto_params:Rto.default_params ~flow:0 ~src:1 ~dst:0 ~mss_bytes:1000
       ~adv_window:64
       ~transmit:(fun p -> wire `R p)
   in
   let receiver =
-    Tcp_receiver.create lsched ~pool ~flow:0 ~src:0 ~dst:1 ~ack_bytes:40
+    one_receiver lsched ~pool ~flow:0 ~src:0 ~dst:1 ~ack_bytes:40
       ~delayed_ack:false ~adv_window:64
       ~transmit:(fun p -> wire `S p)
   in
@@ -537,7 +558,7 @@ let make_receiver ?(delayed_ack = false) ?(sack = false) () =
   let rpool = Pool.create () in
   let acks = ref [] in
   let receiver =
-    Tcp_receiver.create ~sack rsched ~pool:rpool ~flow:0 ~src:0 ~dst:1
+    one_receiver ~sack rsched ~pool:rpool ~flow:0 ~src:0 ~dst:1
       ~ack_bytes:40 ~delayed_ack ~adv_window:64
       ~transmit:(fun p -> acks := p :: !acks)
   in
@@ -680,14 +701,14 @@ let make_loop ?(cc = `Reno) ?(delay = 0.05) ~drop () =
     | `Vegas -> Cc.Vegas
   in
   let lsender =
-    Tcp_sender.create lsched ~pool:lpool ~cc ~rto_params:Rto.default_params ~flow:0
+    one_sender lsched ~pool:lpool ~cc ~rto_params:Rto.default_params ~flow:0
       ~src:1 ~dst:0 ~mss_bytes:1000 ~adv_window:64
       ~transmit:(fun p ->
         incr data_sent;
         if drop lpool p then Pool.free lpool p else wire `To_receiver p)
   in
   let lreceiver =
-    Tcp_receiver.create lsched ~pool:lpool ~flow:0 ~src:0 ~dst:1 ~ack_bytes:40
+    one_receiver lsched ~pool:lpool ~flow:0 ~src:0 ~dst:1 ~ack_bytes:40
       ~delayed_ack:false ~adv_window:64
       ~transmit:(fun p -> wire `To_sender p)
   in
@@ -785,7 +806,7 @@ let make_sack_loop ?(delay = 0.05) ~drop () =
            Pool.free lpool p))
   in
   let lsender =
-    Tcp_sender.create ~sack:true lsched ~pool:lpool ~cc:Cc.Sack
+    one_sender ~sack:true lsched ~pool:lpool ~cc:Cc.Sack
       ~rto_params:Rto.default_params
       ~flow:0 ~src:1 ~dst:0 ~mss_bytes:1000 ~adv_window:64
       ~transmit:(fun p ->
@@ -793,7 +814,7 @@ let make_sack_loop ?(delay = 0.05) ~drop () =
         if drop lpool p then Pool.free lpool p else wire `To_receiver p)
   in
   let lreceiver =
-    Tcp_receiver.create ~sack:true lsched ~pool:lpool ~flow:0 ~src:0 ~dst:1
+    one_receiver ~sack:true lsched ~pool:lpool ~flow:0 ~src:0 ~dst:1
       ~ack_bytes:40 ~delayed_ack:false ~adv_window:64
       ~transmit:(fun p -> wire `To_sender p)
   in
